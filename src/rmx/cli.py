@@ -1,18 +1,21 @@
 """Command-line surface: tables, single queries, graph exports, selfcheck.
 
-Exit codes: 0 success, 1 failed selfcheck, 2 bad arguments, 3 unmet Dorey
-precondition.  All output is deterministic byte-for-byte for fixed arguments.
+Exit codes: 0 success, 1 failed selfcheck, 2 bad arguments (a malformed
+RMX_SEED included), 3 unmet Dorey precondition.  All output is deterministic
+byte-for-byte for fixed arguments.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from rmx import ar_quiver as ar
 from rmx import denominators as dn
 from rmx import quantum_cartan as qc
+from rmx import rep_oracle as ro
 from rmx import root_system as rs
 from rmx import schur_weyl as sw
 from rmx import selfcheck
@@ -44,10 +47,11 @@ def _parse_quiver(cd: rs.CartanData, text: str | None) -> ar.DynkinQuiver:
         return ar.monotone_quiver(cd)
     arrows = []
     for part in text.split(","):
-        if ">" not in part:
-            raise CliError(f"bad arrow {part!r}, expected 'u>v'")
-        u, v = part.split(">")
-        arrows.append((int(u), int(v)))
+        try:
+            u, v = part.split(">")
+            arrows.append((int(u), int(v)))
+        except ValueError as exc:
+            raise CliError(f"bad arrow {part!r}, expected 'u>v'") from exc
     try:
         return ar.orient(cd, arrows)
     except ValueError as exc:
@@ -147,9 +151,7 @@ def cmd_dorey(args) -> str:
     xi = _height(Q, args.xi1)
     try:
         mono = dn.dorey_middle_term(cd, Q, xi, x, y)
-    except ValueError as exc:
-        raise CliError(str(exc), code=3) from exc
-    except dn.DoreyPlacementError as exc:
+    except (dn.NotSimplePoleError, dn.DoreyPlacementError) as exc:
         raise CliError(str(exc), code=3) from exc
     if args.format == "json":
         return _emit_json({"middle_term": dict(
@@ -333,10 +335,20 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _check_seed() -> None:
+    """Reject a malformed RMX_SEED before any command reads it."""
+    try:
+        ro.base_seed()
+    except ValueError as exc:
+        raise CliError(
+            f"RMX_SEED must be an integer, got {os.environ['RMX_SEED']!r}") from exc
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_seed()
         result = args.fn(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -24,6 +24,10 @@ class DoreyPlacementError(RuntimeError):
     """No orientation placed both objects in a common module heart."""
 
 
+class NotSimplePoleError(ValueError):
+    """The pair has no simple pole, so Dorey's rule does not apply."""
+
+
 @dataclass(frozen=True)
 class Denominator:
     """Factor data of d_ij(u): exponent e -> multiplicity of (u - q^e)."""
@@ -218,7 +222,8 @@ def dorey_middle_term(cd: CartanData, Q: DynkinQuiver, xi, x: DeltaVertex,
     ar.check_height(Q, xi)
     order = pole_order(cd, x, y)
     if order != 1:
-        raise ValueError(f"pole order is {order}, Dorey data needs a simple pole")
+        raise NotSimplePoleError(
+            f"pole order is {order}, Dorey data needs a simple pole")
     (i, p), (j, r) = x, y
     if r - p == cd.h:
         assert j == cd.star_of(i), "simple pole at distance h forces j = i*"

@@ -1,54 +1,79 @@
 """Exact linear algebra over the rationals: rank, nullspace, solving.
 
-Matrices are lists of row lists holding ints or Fractions.  Everything here
-is small (dozens of rows), so plain fraction Gaussian elimination is plenty.
+Matrices are lists of row lists holding ints or Fractions.  One routine,
+``_rref``, does every elimination: each row is cleared of denominators once,
+Gauss-Jordan elimination then runs in Python ints with every row kept
+primitive (its entries divided by their gcd), and only the entries a caller
+reads off the reduced rows become Fractions.  Integer arithmetic spares the
+normalisation of every intermediate entry, which is where the time of a
+Fraction elimination goes.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
-Matrix = list[list[Fraction]]
+
+def _primitive_row(row) -> list[int]:
+    """The row scaled by a nonzero rational to coprime integers."""
+    den = lcm(*[x.denominator for x in row])  # an int has denominator 1
+    ints = [x.numerator * (den // x.denominator) for x in row]
+    g = gcd(*ints)
+    return [x // g for x in ints] if g > 1 else ints
 
 
-def _rref(rows: list[list[Fraction]], ncols: int):
-    """In-place reduced row echelon form; returns the pivot column list."""
+def _rref(mat, ncols: int) -> tuple[list[int], list[list[int]]]:
+    """Fraction-free reduced row echelon form over the first ncols columns.
+
+    Returns (pivots, rows).  Row r < len(pivots) is the r-th row of the
+    reduced row echelon form times its pivot entry rows[r][pivots[r]]; the
+    rows after them are zero on the first ncols columns.  Columns beyond
+    ncols (a right-hand side) are carried along but never pivoted on.  Rows
+    that are zero throughout are dropped.
+    """
+    rows = [r for r in map(_primitive_row, mat) if any(r)]
+    nrows = len(rows)
     pivots: list[int] = []
-    r = 0
     for c in range(ncols):
-        pr = next((k for k in range(r, len(rows)) if rows[k][c] != 0), None)
+        r = len(pivots)
+        if r == nrows:
+            break
+        # the smallest pivot in size keeps the entries of the other rows small
+        pr, best = None, 0
+        for k in range(r, nrows):
+            x = abs(rows[k][c])
+            if x and (pr is None or x < best):
+                pr, best = k, x
+                if x == 1:
+                    break
         if pr is None:
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
-        inv = Fraction(1, 1) / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for k in range(len(rows)):
-            if k != r and rows[k][c] != 0:
-                f = rows[k][c]
-                rows[k] = [a - f * b for a, b in zip(rows[k], rows[r])]
+        prow = rows[r]
+        p = prow[c]
+        for k in range(nrows):
+            f = rows[k][c]
+            if f and k != r:
+                g = gcd(p, f)
+                a, b = p // g, f // g
+                new = [a * x - b * y for x, y in zip(rows[k], prow)]
+                g = gcd(*new)
+                rows[k] = [x // g for x in new] if g > 1 else new
         pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return pivots
-
-
-def _as_fractions(mat) -> list[list[Fraction]]:
-    return [[Fraction(x) for x in row] for row in mat]
+    return pivots, rows
 
 
 def rank(mat, ncols: int | None = None) -> int:
-    rows = _as_fractions(mat)
-    if not rows:
+    if not mat:
         return 0
-    n = ncols if ncols is not None else len(rows[0])
-    return len(_rref(rows, n))
+    n = ncols if ncols is not None else len(mat[0])
+    return len(_rref(mat, n)[0])
 
 
 def nullspace(mat, ncols: int) -> list[list[Fraction]]:
     """Basis of the right kernel (each vector of length ncols)."""
-    rows = _as_fractions(mat)
-    pivots = _rref(rows, ncols) if rows else []
+    pivots, rows = _rref(mat, ncols)
     pivot_set = set(pivots)
     basis = []
     for free in range(ncols):
@@ -56,39 +81,20 @@ def nullspace(mat, ncols: int) -> list[list[Fraction]]:
             continue
         v = [Fraction(0)] * ncols
         v[free] = Fraction(1)
-        for r, c in enumerate(pivots):
-            v[c] = -rows[r][free]
+        for row, c in zip(rows, pivots):
+            if row[free]:
+                v[c] = Fraction(-row[free], row[c])
         basis.append(v)
     return basis
 
 
 def solve(mat, rhs, ncols: int):
     """One solution of mat @ x = rhs, or None if inconsistent."""
-    rows = _as_fractions(mat)
-    aug = [row + [Fraction(b)] for row, b in zip(rows, rhs)]
-    pivots = _rref(aug, ncols) if aug else []
-    for row in aug:
-        if all(x == 0 for x in row[:ncols]) and row[ncols] != 0:
-            return None
+    aug = [list(row) + [b] for row, b in zip(mat, rhs)]
+    pivots, rows = _rref(aug, ncols)
+    if any(row[ncols] for row in rows[len(pivots):]):  # a row 0 = b != 0
+        return None
     x = [Fraction(0)] * ncols
-    for r, c in enumerate(pivots):
-        x[c] = aug[r][ncols]
+    for row, c in zip(rows, pivots):
+        x[c] = Fraction(row[ncols], row[c])
     return x
-
-
-def in_column_space(mat, vec, ncols: int) -> bool:
-    """Whether vec lies in the span of the columns of mat (mat has len(vec) rows)."""
-    base = rank(mat, ncols)
-    aug = [list(row) + [v] for row, v in zip(mat, vec)]
-    return rank(aug, ncols + 1) == base
-
-
-def mat_mul(a, b) -> Matrix:
-    if not a or not b:
-        return []
-    n, m, k = len(a), len(b[0]), len(b)
-    return [
-        [sum((Fraction(a[i][t]) * Fraction(b[t][j]) for t in range(k)),
-             Fraction(0)) for j in range(m)]
-        for i in range(n)
-    ]

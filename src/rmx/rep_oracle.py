@@ -359,18 +359,14 @@ def nonsplit_extension(Msub: QuiverRep, Mquot: QuiverRep) -> QuiverRep:
     Q = Msub.Q
     rows, ncols, _, arrows = _intertwiner_matrix(Mquot, Msub)
     nrows = len(rows)
-    ext = nrows - la.rank(rows, ncols) if rows else 0
-    if ext != 1:
-        raise ValueError(f"Ext^1(quotient, sub) = {ext}, need exactly 1")
-    # pick a standard basis vector of the arrow-block space outside im(Phi)
-    cocycle_flat = None
-    for kidx in range(nrows):
-        e = [Fraction(1) if r == kidx else Fraction(0) for r in range(nrows)]
-        if not la.in_column_space(rows, e, ncols):
-            cocycle_flat = kidx
-            break
-    if cocycle_flat is None:
-        raise OracleError("no cocycle found despite nonzero cokernel")
+    # im(Phi) is the orthogonal complement of the left kernel of Phi, so
+    # e_k lies outside im(Phi) exactly when the left kernel vector y has
+    # y[k] != 0; the first such k is the unit cocycle.
+    transpose = [[row[c] for row in rows] for c in range(ncols)]
+    coker = la.nullspace(transpose, nrows)
+    if len(coker) != 1:
+        raise ValueError(f"Ext^1(quotient, sub) = {len(coker)}, need exactly 1")
+    cocycle_flat = next(k for k, yk in enumerate(coker[0]) if yk)
     # unpack the chosen unit cocycle into per-arrow blocks
     cocycle = {}
     idx = 0

@@ -78,6 +78,30 @@ def test_dorey_precondition_exit_3(capsys):
     assert "simple pole" in err
 
 
+def test_malformed_seed_exits_2(capsys, monkeypatch):
+    monkeypatch.setenv("RMX_SEED", "abc")
+    code, out, err = run_cli(capsys, "dorey", "E", "6", "--x", "1,0", "--y", "1,2")
+    assert (code, out) == (2, "")
+    assert "RMX_SEED" in err and "'abc'" in err
+
+
+def test_dorey_exit_3_only_for_its_preconditions(monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("an internal fault, not a precondition")
+
+    monkeypatch.setattr(cli.dn, "dorey_middle_term", broken)
+    with pytest.raises(ValueError, match="internal fault"):
+        cli.main(["dorey", "A", "2", "--x", "2,-1", "--y", "2,1"])
+
+
+@pytest.mark.parametrize("quiver", ["1>x", "x>1", "1>2>3", ""])
+def test_malformed_quiver_exits_2(capsys, quiver):
+    code, _, err = run_cli(
+        capsys, "dorey", "A", "3", "--quiver", quiver, "--x", "1,0", "--y", "2,1",
+    )
+    assert code == 2 and "u>v" in err
+
+
 def test_bad_subcommand_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["no-such-command"])

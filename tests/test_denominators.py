@@ -163,8 +163,16 @@ def test_dorey_examples():
     Q1 = ar.monotone_quiver(cd1)
     xi1 = ar.default_height(Q1)
     assert dn.dorey_middle_term(cd1, Q1, xi1, (1, 0), (1, 2)) == Monomial.unit()
-    with pytest.raises(ValueError):
+    with pytest.raises(dn.NotSimplePoleError):
         dn.dorey_middle_term(cd2, Q, xi, (1, 0), (2, 1))
+
+
+def test_dorey_e7_through_the_oracle():
+    # cold: builds the Hom Gram matrix of all 63 indecomposables of E7
+    cd = rs.build_cartan("E", 7)
+    Q = ar.monotone_quiver(cd)
+    xi = ar.default_height(Q)
+    assert dn.dorey_middle_term(cd, Q, xi, (1, 0), (1, 2)) == Monomial.y(2, 1)
 
 
 def test_dorey_independent_of_placement():

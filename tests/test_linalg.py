@@ -1,0 +1,178 @@
+"""The integer elimination kernel against a Fraction Gauss-Jordan reference.
+
+The reduced row echelon form is unique, so rank, nullspace and solve must
+agree with the reference exactly, Fraction for Fraction.
+"""
+
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from rmx import linalg as la
+
+# ---------------------------------------------------------------------------
+# reference: plain Fraction Gauss-Jordan elimination
+
+
+def _ref_rref(rows: list[list[Fraction]], ncols: int):
+    """In-place reduced row echelon form; returns the pivot column list."""
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        pr = next((k for k in range(r, len(rows)) if rows[k][c] != 0), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        inv = Fraction(1, 1) / rows[r][c]
+        rows[r] = [x * inv for x in rows[r]]
+        for k in range(len(rows)):
+            if k != r and rows[k][c] != 0:
+                f = rows[k][c]
+                rows[k] = [a - f * b for a, b in zip(rows[k], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return pivots
+
+
+def _as_fractions(mat) -> list[list[Fraction]]:
+    return [[Fraction(x) for x in row] for row in mat]
+
+
+def ref_rank(mat, ncols=None) -> int:
+    rows = _as_fractions(mat)
+    if not rows:
+        return 0
+    n = ncols if ncols is not None else len(rows[0])
+    return len(_ref_rref(rows, n))
+
+
+def ref_nullspace(mat, ncols):
+    rows = _as_fractions(mat)
+    pivots = _ref_rref(rows, ncols) if rows else []
+    pivot_set = set(pivots)
+    basis = []
+    for free in range(ncols):
+        if free in pivot_set:
+            continue
+        v = [Fraction(0)] * ncols
+        v[free] = Fraction(1)
+        for r, c in enumerate(pivots):
+            v[c] = -rows[r][free]
+        basis.append(v)
+    return basis
+
+
+def ref_solve(mat, rhs, ncols):
+    rows = _as_fractions(mat)
+    aug = [row + [Fraction(b)] for row, b in zip(rows, rhs)]
+    pivots = _ref_rref(aug, ncols) if aug else []
+    for row in aug:
+        if all(x == 0 for x in row[:ncols]) and row[ncols] != 0:
+            return None
+    x = [Fraction(0)] * ncols
+    for r, c in enumerate(pivots):
+        x[c] = aug[r][ncols]
+    return x
+
+
+# ---------------------------------------------------------------------------
+# strategies
+
+small = st.integers(-3, 3)
+entries = st.one_of(
+    st.just(0),
+    small,
+    st.integers(-10**6, 10**6),
+    st.fractions(min_value=-5, max_value=5, max_denominator=12),
+)
+
+
+@st.composite
+def matrices(draw):
+    """(mat, ncols) with some rows and some columns forced to zero."""
+    nrows = draw(st.integers(0, 7))
+    ncols = draw(st.integers(0, 7))
+    kind = draw(st.sampled_from(("int", "fraction", "mixed")))
+    if kind == "int":
+        cell = st.one_of(st.just(0), small, st.integers(-10**6, 10**6))
+    elif kind == "fraction":
+        cell = st.fractions(min_value=-5, max_value=5, max_denominator=12)
+    else:
+        cell = entries
+    mat = [[draw(cell) for _ in range(ncols)] for _ in range(nrows)]
+    zero_rows = draw(st.sets(st.integers(0, max(nrows - 1, 0)), max_size=nrows))
+    zero_cols = draw(st.sets(st.integers(0, max(ncols - 1, 0)), max_size=ncols))
+    for r in range(nrows):
+        for c in range(ncols):
+            if r in zero_rows or c in zero_cols:
+                mat[r][c] = 0
+    if nrows and ncols and draw(st.booleans()):
+        # a dependent row: a combination of two others
+        a, b, t = draw(st.integers(0, nrows - 1)), draw(st.integers(0, nrows - 1)), draw(small)
+        mat[draw(st.integers(0, nrows - 1))] = [
+            x + t * y for x, y in zip(mat[a], mat[b])]
+    return mat, ncols
+
+
+@st.composite
+def systems(draw):
+    """(mat, rhs, ncols): rhs either in the column space or drawn freely,
+    which for a rank-deficient matrix is mostly inconsistent."""
+    mat, ncols = draw(matrices())
+    if draw(st.booleans()):
+        x = [draw(entries) for _ in range(ncols)]
+        rhs = [sum((Fraction(a) * b for a, b in zip(row, x)), Fraction(0)) for row in mat]
+    else:
+        rhs = [draw(entries) for _ in mat]
+    return mat, rhs, ncols
+
+
+def _fractions_only(vectors) -> bool:
+    return all(type(x) is Fraction for v in vectors for x in v)
+
+
+# ---------------------------------------------------------------------------
+# properties
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrices(), st.data())
+def test_rank_matches_reference(case, data):
+    mat, ncols = case
+    assert la.rank(mat, ncols) == ref_rank(mat, ncols)
+    assert la.rank(mat) == ref_rank(mat)
+    prefix = data.draw(st.integers(0, ncols))
+    assert la.rank(mat, prefix) == ref_rank(mat, prefix)
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrices())
+def test_nullspace_matches_reference(case):
+    mat, ncols = case
+    got = la.nullspace(mat, ncols)
+    assert got == ref_nullspace(mat, ncols)
+    assert _fractions_only(got)
+
+
+@settings(max_examples=100, deadline=None)
+@given(systems())
+def test_solve_matches_reference(case):
+    mat, rhs, ncols = case
+    got = la.solve(mat, rhs, ncols)
+    want = ref_solve(mat, rhs, ncols)
+    assert got == want
+    if got is not None:
+        assert _fractions_only([got])
+
+
+def test_inputs_are_left_unchanged():
+    mat = [[2, Fraction(1, 3)], [4, Fraction(2, 3)], [0, 0]]
+    rhs = [1, 2, 0]
+    before = [list(row) for row in mat], list(rhs)
+    la.rank(mat)
+    la.nullspace(mat, 2)
+    la.solve(mat, rhs, 2)
+    assert ([list(row) for row in mat], list(rhs)) == before
