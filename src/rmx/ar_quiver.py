@@ -193,6 +193,26 @@ def check_delta_vertex(cd: CartanData, x: DeltaVertex) -> None:
         raise ValueError(f"({i},{p}) violates the parity constraint")
 
 
+@lru_cache(maxsize=None)
+def _tau_orbits(Q: DynkinQuiver, xi: tuple[int, ...]) -> tuple[tuple[IndecObject, ...], ...]:
+    """For each vertex i, the objects tau^s(I_i) for s = 0..h-1.
+
+    Knitting closes each orbit: tau^h(I_i) = I_i[-2], so these h objects and
+    the shift determine tau^s(I_i) for every integer s.
+    """
+    cd = Q.cd
+    orbits = []
+    for i in cd.vertices:
+        obj = IndecObject(gamma_vector(Q, i), 0)
+        orbit = []
+        for _ in range(cd.h):
+            orbit.append(obj)
+            obj = tau_object(Q, xi, obj, 1)
+        assert obj == IndecObject(orbit[0].root, -2)
+        orbits.append(tuple(orbit))
+    return tuple(orbits)
+
+
 def happel_object(Q: DynkinQuiver, xi: tuple[int, ...], x: DeltaVertex) -> IndecObject:
     """The object tau^((xi_i - p)/2)(I_i) attached to the vertex (i, p)."""
     check_height(Q, xi)
@@ -201,23 +221,21 @@ def happel_object(Q: DynkinQuiver, xi: tuple[int, ...], x: DeltaVertex) -> Indec
     steps = xi[i - 1] - p
     if steps % 2 != 0:
         raise ValueError(f"xi_{i} - p must be even, got {steps}")
-    return tau_object(Q, xi, IndecObject(gamma_vector(Q, i), 0), steps // 2)
+    periods, s = divmod(steps // 2, Q.cd.h)
+    root, shift = _tau_orbits(Q, xi)[i - 1][s]
+    return IndecObject(root, shift - 2 * periods)
 
 
 @lru_cache(maxsize=None)
 def _orbit_index(Q: DynkinQuiver, xi: tuple[int, ...]):
     """For each root and shift parity, the (i, p, shift) hit in one tau period."""
-    cd = Q.cd
     index: dict[tuple[Vec, int], tuple[int, int, int]] = {}
-    for i in cd.vertices:
-        obj = IndecObject(gamma_vector(Q, i), 0)
+    for i, orbit in zip(Q.cd.vertices, _tau_orbits(Q, xi)):
         p = xi[i - 1]
-        for s in range(cd.h):
+        for s, obj in enumerate(orbit):
             key = (obj.root, obj.shift % 2)
             assert key not in index
             index[key] = (i, p - 2 * s, obj.shift)
-            obj = tau_object(Q, xi, obj, 1)
-        assert obj.shift == -2
     return index
 
 

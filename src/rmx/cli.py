@@ -3,6 +3,14 @@
 Exit codes: 0 success, 1 failed selfcheck, 2 bad arguments (a malformed
 RMX_SEED included), 3 unmet Dorey precondition.  All output is deterministic
 byte-for-byte for fixed arguments.
+
+Inputs are bounded, so that no request runs without limit; a larger one
+exits 2 with a message:
+
+* ``--rank`` (or the positional rank) at most ``root_system.MAX_RANK`` (64);
+* ``--order`` at most ``MAX_ORDER`` (512, two periods 4h for every admitted type);
+* ``--p-hi - --p-lo`` at most ``MAX_P_WIDTH`` (64);
+* ``--j-hi - --j-lo`` at most ``MAX_J_WIDTH`` (256).
 """
 
 from __future__ import annotations
@@ -19,6 +27,11 @@ from rmx import rep_oracle as ro
 from rmx import root_system as rs
 from rmx import schur_weyl as sw
 from rmx import selfcheck
+
+
+MAX_ORDER = 512
+MAX_P_WIDTH = 64
+MAX_J_WIDTH = 256
 
 
 class CliError(Exception):
@@ -91,8 +104,8 @@ def _emit_table(header: list[str], rows: list[list], fmt: str) -> str:
 def cmd_ctilde(args) -> str:
     cd = _build(args.type, args.rank)
     order = args.order if args.order is not None else 2 * cd.h
-    if order < 1:
-        raise CliError("--order must be >= 1")
+    if not 1 <= order <= MAX_ORDER:
+        raise CliError(f"--order must lie in 1..{MAX_ORDER}, got {order}")
     t = qc.ctilde_table(cd, order)
     header = ["i", "j"] + [f"l{l}" for l in range(1, order + 1)]
     rows = [
@@ -192,11 +205,18 @@ def _emit_dot(name: str, vertices, arrows, vertex_attrs=None) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _check_p_window(args) -> None:
+    if args.p_lo is None or args.p_hi is None:
+        raise CliError("--p-lo and --p-hi are required")
+    if args.p_hi - args.p_lo > MAX_P_WIDTH:
+        raise CliError(f"--p-hi - --p-lo must be at most {MAX_P_WIDTH}, "
+                       f"got {args.p_hi - args.p_lo}")
+
+
 def cmd_export(args) -> str:
     cd = _build(args.type, args.rank)
     if args.what == "ar-quiver":
-        if args.p_lo is None or args.p_hi is None:
-            raise CliError("--p-lo and --p-hi are required")
+        _check_p_window(args)
         Q = _parse_quiver(cd, args.quiver)
         xi = _height(Q, args.xi1)
         vertices = ar.delta_vertices(cd, args.p_lo, args.p_hi)
@@ -220,8 +240,7 @@ def cmd_export(args) -> str:
             return _emit_dot("ar_quiver", vertices, arrows, attrs)
         return _emit_json(_graph_payload(vertices, arrows, attrs))
     if args.what == "gamma":
-        if args.p_lo is None or args.p_hi is None:
-            raise CliError("--p-lo and --p-hi are required")
+        _check_p_window(args)
         win = sw.gamma_window(cd, args.p_lo, args.p_hi)
         arrows = sorted(win.arrows)
         if args.format == "dot":
@@ -232,6 +251,9 @@ def cmd_export(args) -> str:
             raise CliError("--N, --j-lo and --j-hi are required")
         if args.j_lo > args.j_hi:
             raise CliError("--j-lo must be <= --j-hi")
+        if args.j_hi - args.j_lo > MAX_J_WIDTH:
+            raise CliError(f"--j-hi - --j-lo must be at most {MAX_J_WIDTH}, "
+                           f"got {args.j_hi - args.j_lo}")
         Q = _parse_quiver(cd, args.quiver)
         xi = _height(Q, args.xi1 if args.xi1 is not None else -2)
         try:
@@ -264,14 +286,17 @@ def cmd_selfcheck(args) -> tuple[str, int]:
 # parser
 
 
+_RANK_HELP = f"rank, at most {rs.MAX_RANK}"
+
+
 def _add_type_rank_flags(p):
     p.add_argument("--type", required=True, choices=("A", "D", "E"))
-    p.add_argument("--rank", required=True, type=int)
+    p.add_argument("--rank", required=True, type=int, help=_RANK_HELP)
 
 
 def _add_type_rank_positional(p):
     p.add_argument("type", choices=("A", "D", "E"))
-    p.add_argument("rank", type=int)
+    p.add_argument("rank", type=int, help=_RANK_HELP)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -283,7 +308,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("ctilde", help="inverse quantum Cartan matrix table")
     _add_type_rank_flags(sp)
-    sp.add_argument("--order", type=int, default=None, help="truncation (default 2h)")
+    sp.add_argument("--order", type=int, default=None,
+                    help=f"truncation (default 2h, at most {MAX_ORDER})")
     sp.add_argument("--format", default="csv",
                     choices=("csv", "json", "markdown-table"))
     sp.set_defaults(fn=cmd_ctilde)
@@ -318,10 +344,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("what", choices=("ar-quiver", "gamma", "gamma-j"))
     _add_type_rank_flags(sp)
     sp.add_argument("--p-lo", type=int, default=None)
-    sp.add_argument("--p-hi", type=int, default=None)
+    sp.add_argument("--p-hi", type=int, default=None,
+                    help=f"at most {MAX_P_WIDTH} above --p-lo")
     sp.add_argument("--N", type=int, default=None)
     sp.add_argument("--j-lo", type=int, default=None)
-    sp.add_argument("--j-hi", type=int, default=None)
+    sp.add_argument("--j-hi", type=int, default=None,
+                    help=f"at most {MAX_J_WIDTH} above --j-lo")
     sp.add_argument("--quiver", default=None)
     sp.add_argument("--xi1", type=int, default=None)
     sp.add_argument("--format", default="json", choices=("json", "dot"))

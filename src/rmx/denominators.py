@@ -104,12 +104,9 @@ class Monomial:
 
 def denominator(cd: CartanData, i: int, j: int) -> Denominator:
     """d_ij(u) with zeros at q^(l+1), multiplicity ct_ij(l), 1 <= l <= h-1."""
-    factors = []
-    for l in range(1, cd.h):
-        m = qc.ctilde(cd, i, j, l)
-        if m:
-            factors.append((l + 1, m))
-    return Denominator(factors=tuple(factors), convention="q")
+    series = qc.ctilde_table(cd, 2 * cd.h).series(i, j)
+    factors = tuple((l + 1, m) for l, m in enumerate(series[:cd.h - 1], 1) if m)
+    return Denominator(factors=factors, convention="q")
 
 
 def denominator_kashiwara(cd: CartanData, i: int, j: int) -> Denominator:

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import permutations
+from operator import add
 
 from rmx.root_system import CartanData, Vec
 
@@ -42,20 +44,20 @@ def ctilde_table(cd: CartanData, L: int | None = None) -> CTildeTable:
         L = 2 * cd.h
     if L < 1:
         raise ValueError("truncation order must be >= 1")
+    # row i of ct(m+1) is -ct(m-1)[i] plus the rows ct(m)[k] over k ~ i
     n = cd.rank
-    nbrs = [cd.neighbors(i) for i in cd.vertices]
-    # prev two layers; layer for l <= 0 is zero
     layers: list[list[list[int]]] = []
-    prev2 = [[0] * n for _ in range(n)]  # ct(m-1)
-    prev1 = [[0] * n for _ in range(n)]  # ct(m), starts as ct(0) = 0
+    prev2 = [[0] * n for _ in range(n)]  # ct(m-1); ct(l) = 0 for l <= 0
+    prev1 = [[0] * n for _ in range(n)]  # ct(m)
     for m in range(L):
-        cur = [[0] * n for _ in range(n)]
+        cur = []
         for i in range(n):
-            for j in range(n):
-                v = -prev2[i][j] + sum(prev1[k - 1][j] for k in nbrs[i])
-                if m == 0 and i == j:
-                    v += 1
-                cur[i][j] = v
+            row = [-x for x in prev2[i]]
+            for k in cd.adjacency[i]:
+                row = list(map(add, row, prev1[k - 1]))
+            if m == 0:
+                row[i] += 1
+            cur.append(row)
         layers.append(cur)
         prev2, prev1 = prev1, cur
     values = tuple(tuple(tuple(row) for row in layer) for layer in layers)
@@ -182,20 +184,27 @@ def check_ctilde_identities(t: CTildeTable) -> list[str]:
     return bad
 
 
-@lru_cache(maxsize=None)
 def _diagram_automorphisms(cd: CartanData) -> tuple[Vec, ...]:
-    """All permutations of the vertices preserving the Cartan matrix."""
-    from itertools import permutations
+    """All permutations of the vertices preserving the Cartan matrix, sorted.
 
+    These are the known groups of the Dynkin diagrams in the labelling of
+    ``root_system``: the flip of A_n (n >= 2), the swap of n-1 and n in
+    D_n (n >= 5), S3 on the three legs {1, 3, 4} of D4, the flip of E6, and
+    the identity alone for A1, E7 and E8.
+    """
     n = cd.rank
-    if n > 8:
-        raise ValueError("brute-force automorphism search capped at rank 8")
-    out = []
-    for perm in permutations(range(1, n + 1)):
-        if all(
-            cd.c(i, j) == cd.c(perm[i - 1], perm[j - 1])
-            for i in cd.vertices
-            for j in cd.vertices
-        ):
-            out.append(perm)
-    return tuple(out)
+    ident = tuple(cd.vertices)
+    if cd.family == "A" and n >= 2:
+        return ident, tuple(range(n, 0, -1))
+    if cd.family == "D" and n == 4:
+        legs = (1, 3, 4)
+        out = []
+        for images in permutations(legs):
+            move = dict(zip(legs, images))
+            out.append(tuple(move.get(i, i) for i in ident))
+        return tuple(sorted(out))
+    if cd.family == "D":
+        return ident, ident[:n - 2] + (n, n - 1)
+    if cd.family == "E" and n == 6:
+        return ident, (5, 4, 3, 2, 1, 6)
+    return (ident,)

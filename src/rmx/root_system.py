@@ -8,16 +8,28 @@ Vertex labels are 1-based and fixed once and for all:
 
 Root-lattice vectors are integer tuples in the simple-root basis, so the
 pairing with the fundamental weight ``w_j`` is simply coordinate ``j``.
+
+Cartan data are interned: build them through ``build_cartan``, never by
+constructing ``CartanData`` directly.  There is one object per
+``(family, rank, parity_base)``, so equality is identity and hashing is
+O(1); the many caches keyed on a ``CartanData`` never walk its matrix.
+Pickling and copying go back through ``build_cartan`` and return the
+interned object.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 Vec = tuple[int, ...]
 
 FAMILIES = ("A", "D", "E")
+
+# Largest rank build_cartan accepts.  It admits A60 and every type the
+# benchmark runs, and it bounds the intern table (at most one entry per
+# family, rank and parity base).
+MAX_RANK = 64
 
 
 class InvalidTypeError(ValueError):
@@ -25,6 +37,10 @@ class InvalidTypeError(ValueError):
 
 
 def _edges_for(family: str, rank: int) -> list[tuple[int, int]]:
+    if family not in FAMILIES:
+        raise InvalidTypeError(f"unknown family {family!r}")
+    if rank > MAX_RANK:
+        raise InvalidTypeError(f"rank {rank} exceeds the supported maximum {MAX_RANK}")
     if family == "A":
         if rank < 1:
             raise InvalidTypeError(f"A_n needs n >= 1, got {rank}")
@@ -35,39 +51,86 @@ def _edges_for(family: str, rank: int) -> list[tuple[int, int]]:
         edges = [(i, i + 1) for i in range(1, rank - 2)]
         edges += [(rank - 2, rank - 1), (rank - 2, rank)]
         return edges
-    if family == "E":
-        if rank not in (6, 7, 8):
-            raise InvalidTypeError(f"E_n needs n in {{6,7,8}}, got {rank}")
-        return [(i, i + 1) for i in range(1, rank - 1)] + [(3, rank)]
-    raise InvalidTypeError(f"unknown family {family!r}")
+    if rank not in (6, 7, 8):
+        raise InvalidTypeError(f"E_n needs n in {{6,7,8}}, got {rank}")
+    return [(i, i + 1) for i in range(1, rank - 1)] + [(3, rank)]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CartanData:
-    """Immutable Cartan datum of a simply-laced simple Lie algebra.
+    """Immutable, interned Cartan datum of a simply-laced simple Lie algebra.
 
-    ``cartan`` is the symmetric Cartan matrix, ``edges`` the unordered
-    adjacency, ``h`` the Coxeter number, ``star`` the involution induced by
-    the longest Weyl element, ``eps`` a parity function (eps_i != eps_j for
-    adjacent i, j).
+    The fields are the interning key.  Everything else hangs off the
+    instance and is computed once: ``edges`` (the unordered adjacency),
+    ``adjacency`` (the neighbours of each vertex), ``cartan`` (the symmetric
+    Cartan matrix), ``eps`` (the parity function: eps_i != eps_j for
+    adjacent i, j), ``h`` (the Coxeter number) and ``star`` (the involution
+    induced by the longest Weyl element).
     """
 
     family: str
     rank: int
-    cartan: tuple[Vec, ...]
-    edges: tuple[tuple[int, int], ...]
-    h: int
-    star: Vec
-    eps: Vec
+    parity_base: int
+
+    def __reduce__(self):
+        return build_cartan, (self.family, self.rank, self.parity_base)
+
+    @cached_property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        return tuple(_edges_for(self.family, self.rank))
+
+    @cached_property
+    def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        """``adjacency[i - 1]``: the neighbours of vertex i."""
+        return tuple(
+            tuple(v for u, v in self.edges if u == i)
+            + tuple(u for u, v in self.edges if v == i)
+            for i in self.vertices
+        )
+
+    @cached_property
+    def eps(self) -> Vec:
+        # eps_i = (graph distance from vertex 1 + parity_base) mod 2
+        dist = {1: 0}
+        queue = [1]
+        for u in queue:
+            for w in self.adjacency[u - 1]:
+                if w not in dist:
+                    dist[w] = dist[u] + 1
+                    queue.append(w)
+        return tuple((dist[i] + self.parity_base) % 2 for i in self.vertices)
+
+    @cached_property
+    def cartan(self) -> tuple[Vec, ...]:
+        rows = []
+        for i in self.vertices:
+            row = [0] * self.rank
+            row[i - 1] = 2
+            for j in self.adjacency[i - 1]:
+                row[j - 1] = -1
+            rows.append(tuple(row))
+        return tuple(rows)
+
+    @cached_property
+    def positive_root_set(self) -> frozenset[Vec]:
+        return frozenset(positive_roots(self))
+
+    @cached_property
+    def h(self) -> int:
+        n_pos = len(positive_roots(self))
+        assert (2 * n_pos) % self.rank == 0
+        return 2 * n_pos // self.rank
+
+    @cached_property
+    def star(self) -> Vec:
+        return _star_from_longest_word(self)
 
     @property
     def vertices(self) -> range:
         return range(1, self.rank + 1)
 
     def neighbors(self, i: int) -> tuple[int, ...]:
-        return tuple(v for u, v in self.edges if u == i) + tuple(
-            u for u, v in self.edges if v == i
-        )
+        return self.adjacency[i - 1]
 
     def c(self, i: int, j: int) -> int:
         return self.cartan[i - 1][j - 1]
@@ -89,127 +152,96 @@ def simple_root(cd: CartanData, i: int) -> Vec:
     return tuple(1 if j == i else 0 for j in cd.vertices)
 
 
+def _pairing(cd: CartanData, i: int, v: Vec) -> int:
+    # (v, alpha_i) = 2 v_i - sum of v_j over the neighbours j of i
+    p = 2 * v[i - 1]
+    for j in cd.adjacency[i - 1]:
+        p -= v[j - 1]
+    return p
+
+
 def reflect(cd: CartanData, i: int, v: Vec) -> Vec:
-    """Simple reflection r_i in root coordinates: subtract (v, alpha_i)*alpha_i."""
-    pairing = sum(v[j] * cd.cartan[i - 1][j] for j in range(cd.rank))
-    return tuple(v[j] - (pairing if j == i - 1 else 0) for j in range(cd.rank))
+    """Simple reflection r_i in root coordinates: subtract (v, alpha_i)*alpha_i.
+
+    Only coordinate i changes; ``v`` itself is returned when the pairing is 0.
+    """
+    p = _pairing(cd, i, v)
+    if not p:
+        return v
+    w = list(v)
+    w[i - 1] -= p
+    return tuple(w)
 
 
-def _distances_from_one(edges: list[tuple[int, int]], rank: int) -> list[int]:
-    adj: dict[int, list[int]] = {i: [] for i in range(1, rank + 1)}
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    dist = {1: 0}
-    queue = [1]
-    while queue:
-        u = queue.pop(0)
-        for w in adj[u]:
-            if w not in dist:
-                dist[w] = dist[u] + 1
-                queue.append(w)
-    return [dist[i] for i in range(1, rank + 1)]
+def _star_from_longest_word(cd: CartanData) -> Vec:
+    # The longest element w0 is the Weyl group element taking 2*rho (the sum
+    # of the positive roots, with (2*rho, alpha_i) = 2 for every i) to
+    # -2*rho: reflect at the first i with (v, alpha_i) > 0 until none is
+    # left, taking length(w0) = #positive roots steps.  Applying the same
+    # reflections to u = sum_i i*alpha_i gives w0(u) = -sum_i i*alpha_(i*),
+    # whose coordinate j is -j*.
+    roots = positive_roots(cd)
+    two_rho = tuple(map(sum, zip(*roots)))
+    v = two_rho
+    u = tuple(cd.vertices)
+    steps = 0
+    while True:
+        i = next((k for k in cd.vertices if _pairing(cd, k, v) > 0), None)
+        if i is None:
+            break
+        v = reflect(cd, i, v)
+        u = reflect(cd, i, u)
+        steps += 1
+    assert steps == len(roots) and v == tuple(-c for c in two_rho)
+    star = tuple(-c for c in u)
+    assert sorted(star) == list(cd.vertices)
+    return star
 
 
-def _positive_roots_from(cartan: tuple[Vec, ...], rank: int) -> list[Vec]:
-    # Closure of the simple roots under simple reflections, keeping the
-    # vectors that stay in the positive cone.
-    def refl(i: int, v: Vec) -> Vec:
-        pairing = sum(v[j] * cartan[i][j] for j in range(rank))
-        return tuple(v[j] - (pairing if j == i else 0) for j in range(rank))
-
-    roots = {tuple(1 if j == i else 0 for j in range(rank)) for i in range(rank)}
-    frontier = list(roots)
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for i in range(rank):
-                w = refl(i, v)
-                if all(c >= 0 for c in w) and w not in roots:
-                    roots.add(w)
-                    nxt.append(w)
-        frontier = nxt
-    return sorted(roots)
-
-
-def _longest_word(cartan: tuple[Vec, ...], rank: int, n_pos: int) -> list[int]:
-    # Drive rho = (1,...,1) (weight basis) to -rho, recording reflections.
-    # In the weight basis r_i acts by lam_j -> lam_j - lam_i * c_ij.
-    lam = [1] * rank
-    word: list[int] = []
-    while any(x > 0 for x in lam):
-        i = next(k for k in range(rank) if lam[k] > 0)
-        coef = lam[i]
-        for j in range(rank):
-            lam[j] -= coef * cartan[i][j]
-        word.append(i + 1)
-    assert all(x == -1 for x in lam) and len(word) == n_pos
-    return word
+@lru_cache(maxsize=None)
+def _interned(family: str, rank: int, parity_base: int) -> CartanData:
+    cd = CartanData(family=family, rank=rank, parity_base=parity_base)
+    cd.edges  # rejects an invalid type
+    cd.star  # derives h and star now, so that building pays for them
+    return cd
 
 
 def build_cartan(family: str, rank: int, parity_base: int = 0) -> CartanData:
-    """Construct the Cartan datum for the given ADE type.
+    """The interned Cartan datum for the given ADE type.
 
     ``parity_base`` selects between the two admissible parity functions:
-    eps_i = (graph distance from vertex 1 + parity_base) mod 2.
+    eps_i = (graph distance from vertex 1 + parity_base) mod 2.  Equal
+    arguments, with the default spelled out or not, give the same object.
     """
     if parity_base not in (0, 1):
         raise ValueError("parity_base must be 0 or 1")
-    edges = _edges_for(family, rank)
-    cartan = tuple(
-        tuple(
-            2 if i == j else (-1 if (min(i, j), max(i, j)) in
-                              {(min(u, v), max(u, v)) for u, v in edges} else 0)
-            for j in range(1, rank + 1)
-        )
-        for i in range(1, rank + 1)
-    )
-    dist = _distances_from_one(edges, rank)
-    eps = tuple((d + parity_base) % 2 for d in dist)
-
-    pos = _positive_roots_from(cartan, rank)
-    n_pos = len(pos)
-    assert (2 * n_pos) % rank == 0
-    h = 2 * n_pos // rank
-
-    word = _longest_word(cartan, rank, n_pos)
-    star = []
-    for i in range(1, rank + 1):
-        v = tuple(1 if j == i else 0 for j in range(1, rank + 1))
-        for k in word:
-            pairing = sum(v[j] * cartan[k - 1][j] for j in range(rank))
-            v = tuple(v[j] - (pairing if j == k - 1 else 0) for j in range(rank))
-        negs = [j + 1 for j, c in enumerate(v) if c == -1]
-        assert len(negs) == 1 and sum(map(abs, v)) == 1
-        star.append(negs[0])
-
-    return CartanData(
-        family=family,
-        rank=rank,
-        cartan=cartan,
-        edges=tuple(edges),
-        h=h,
-        star=tuple(star),
-        eps=eps,
-    )
+    return _interned(family, rank, int(parity_base))
 
 
 @lru_cache(maxsize=None)
 def positive_roots(cd: CartanData) -> tuple[Vec, ...]:
-    """All positive roots in lexicographic order on root coordinates."""
-    return tuple(_positive_roots_from(cd.cartan, cd.rank))
+    """All positive roots in lexicographic order on root coordinates.
+
+    The closure of the simple roots under simple reflections, keeping the
+    images that stay in the positive cone; r_i changes only coordinate i,
+    so that coordinate decides positivity.
+    """
+    roots = {simple_root(cd, i) for i in cd.vertices}
+    frontier = list(roots)
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for i in cd.vertices:
+                w = reflect(cd, i, v)
+                if w[i - 1] >= 0 and w not in roots:
+                    roots.add(w)
+                    nxt.append(w)
+        frontier = nxt
+    return tuple(sorted(roots))
 
 
 def is_positive_root(cd: CartanData, v: Vec) -> bool:
-    return v in set(positive_roots(cd))
-
-
-def coxeter_number(cd: CartanData) -> int:
-    return cd.h
-
-
-def star_involution(cd: CartanData, i: int) -> int:
-    return cd.star_of(i)
+    return v in cd.positive_root_set
 
 
 def all_ade_types(max_rank: int = 8) -> list[tuple[str, int]]:

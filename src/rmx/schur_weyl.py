@@ -4,6 +4,7 @@ orbit bookkeeping for the monotone A-infinity quiver."""
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
@@ -69,16 +70,28 @@ def _arrow_mult(cd: CartanData, u: DeltaVertex, v: DeltaVertex) -> int:
 
 
 def gamma_window(cd: CartanData, p_lo: int, p_hi: int) -> GammaWindow:
-    """The Ext quiver restricted to heights p_lo..p_hi."""
+    """The Ext quiver restricted to heights p_lo..p_hi.
+
+    Arrows are listed by source, then by target, both in vertex order.  An
+    arrow u -> v needs 2 <= (height of u) - (height of v) <= h, so only the
+    targets in that window of a source are tried.
+    """
     if p_lo > p_hi:
         return GammaWindow(vertices=(), arrows=())
     verts = tuple(ar.delta_vertices(cd, p_lo, p_hi))
+    # delta_vertices orders by vertex, then by height
+    by_vertex = [[v for v in verts if v[0] == i] for i in cd.vertices]
+    heights = [[p for _, p in row] for row in by_vertex]
     arrows = []
     for u in verts:
-        for v in verts:
-            m = _arrow_mult(cd, u, v)
-            if m:
-                arrows.append((u, v, m))
+        r = u[1]
+        for row, ps in zip(by_vertex, heights):
+            lo = bisect_left(ps, r - cd.h)
+            hi = bisect_right(ps, r - 2)
+            for v in row[lo:hi]:
+                m = _arrow_mult(cd, u, v)
+                if m:
+                    arrows.append((u, v, m))
     return GammaWindow(vertices=verts, arrows=tuple(arrows))
 
 
@@ -87,7 +100,10 @@ def gamma_J(cd: CartanData, fam: FamilyMap) -> GammaWindow:
     arrows = []
     for j in fam.domain:
         for jp in fam.domain:
-            m = _arrow_mult(cd, fam.of(j), fam.of(jp))
+            u, v = fam.of(j), fam.of(jp)
+            if not 2 <= u[1] - v[1] <= cd.h:
+                continue  # outside the height window the Ext group vanishes
+            m = _arrow_mult(cd, u, v)
             if m:
                 arrows.append((j, jp, m))
     return GammaWindow(vertices=tuple(fam.domain), arrows=tuple(arrows))

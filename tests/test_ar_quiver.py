@@ -90,6 +90,19 @@ def test_happel_object_examples():
         ar.happel_object(Q, xi, (1, 1))  # parity violation
 
 
+@pytest.mark.parametrize("family,rank", [("A", 4), ("D", 5), ("E", 6)])
+def test_happel_object_matches_direct_knitting(family, rank):
+    # happel_object reads one tau period and shifts by -2 per period;
+    # knitting all the way from I_i must agree, also several periods out
+    cd = rs.build_cartan(family, rank)
+    for Q in (ar.monotone_quiver(cd), ar.random_orientation(cd, 7)):
+        xi = ar.default_height(Q)
+        for i, p in ar.delta_vertices(cd, -3 * cd.h, 3 * cd.h):
+            start = IndecObject(ar.gamma_vector(Q, i), 0)
+            direct = ar.tau_object(Q, xi, start, (xi[i - 1] - p) // 2)
+            assert ar.happel_object(Q, xi, (i, p)) == direct
+
+
 def test_happel_inverse_examples_and_round_trip():
     cd, Q, xi = _a2_setup()
     for x in [(1, 0), (2, -1), (1, -2)]:

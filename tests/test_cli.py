@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -218,3 +219,72 @@ def test_selfcheck_corrupted_table_names_identity(capsys, monkeypatch):
     identities = next(c for c in report["checks"] if c["name"] == "ctilde-identities")
     assert not identities["passed"]
     assert "(4)" in identities["detail"] or "(7)" in identities["detail"]
+
+
+# ---------------------------------------------------------------------------
+# input bounds
+
+
+def test_rank_cap_exits_2(capsys):
+    code, _, err = run_cli(capsys, "ctilde", "--type", "A", "--rank", "65")
+    assert code == 2 and "maximum 64" in err
+    code, _, err = run_cli(capsys, "pole-order", "D", str(10**12), "--x", "1,0", "--y", "1,2")
+    assert code == 2 and "maximum 64" in err
+
+
+def test_order_cap_exits_2(capsys):
+    code, _, err = run_cli(
+        capsys, "ctilde", "--type", "A", "--rank", "2", "--order", str(cli.MAX_ORDER + 1),
+    )
+    assert code == 2 and "--order" in err
+    code, out, _ = run_cli(
+        capsys, "ctilde", "--type", "A", "--rank", "1", "--order", str(cli.MAX_ORDER),
+    )
+    assert code == 0 and out.startswith("i,j,l1,")
+
+
+@pytest.mark.parametrize("what", ["gamma", "ar-quiver"])
+def test_p_window_cap_exits_2(capsys, what):
+    code, _, err = run_cli(
+        capsys, "export", what, "--type", "A", "--rank", "2",
+        "--p-lo", "-40", "--p-hi", str(cli.MAX_P_WIDTH - 39),
+    )
+    assert code == 2 and "--p-hi - --p-lo" in err
+    code, _, _ = run_cli(
+        capsys, "export", what, "--type", "A", "--rank", "2",
+        "--p-lo", "-40", "--p-hi", str(cli.MAX_P_WIDTH - 40),
+    )
+    assert code == 0
+
+
+def test_j_window_cap_exits_2(capsys):
+    args = ("export", "gamma-j", "--type", "A", "--rank", "3", "--N", "4", "--j-lo", "0")
+    code, _, err = run_cli(capsys, *args, "--j-hi", str(cli.MAX_J_WIDTH + 1))
+    assert code == 2 and "--j-hi - --j-lo" in err
+    code, _, _ = run_cli(capsys, *args, "--j-hi", str(cli.MAX_J_WIDTH))
+    assert code == 0
+
+
+# ---------------------------------------------------------------------------
+# export bytes are a contract: these digests were taken before the root-system
+# kernel was rewritten and must never move
+
+
+GOLDEN_SHA256 = {
+    ("ctilde", "--type", "A", "--rank", "12"):
+        "eed9878e147540979f0bd5cb157935756dd9f45285b4c681bd5e534c12da2485",
+    ("export", "gamma", "--type", "E", "--rank", "8", "--p-lo", "0", "--p-hi", "30"):
+        "ec9ea7e0cf67f2acc67381c072f2980645fcfa606dcda4ce2c4fc3606eb239a1",
+    ("export", "ar-quiver", "--type", "D", "--rank", "7", "--p-lo", "-6", "--p-hi", "6"):
+        "a273b102f1cd3f5ef3dfc14d79f4fb5ff5d86d7090c798b9eb1eabe0e0ba3091",
+    ("export", "gamma-j", "--type", "E", "--rank", "6", "--N", "5",
+     "--j-lo", "-6", "--j-hi", "6"):
+        "8591858e1e00d967381feccca5b7b0b627ce6783b289dc0e8549d16664ab1500",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(GOLDEN_SHA256))
+def test_cli_golden_bytes(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_SHA256[argv]

@@ -2,6 +2,7 @@ import pytest
 
 from rmx import ar_quiver as ar
 from rmx import denominators as dn
+from rmx import quantum_cartan as qc
 from rmx import root_system as rs
 from rmx.ar_quiver import IndecObject
 from rmx.denominators import Monomial
@@ -15,6 +16,18 @@ def test_denominator_goldens():
     assert dn.denominator(cd2, 2, 2).factors == ((2, 1),)
     assert dn.denominator(cd2, 1, 2).factors == ((3, 1),)
     assert dn.denominator(cd2, 2, 1).factors == ((3, 1),)
+
+
+@pytest.mark.parametrize("family,rank", rs.all_ade_types(8))
+def test_denominator_reads_the_ctilde_row(family, rank):
+    cd = rs.build_cartan(family, rank)
+    for i in cd.vertices:
+        for j in cd.vertices:
+            expected = tuple(
+                (l + 1, qc.ctilde(cd, i, j, l))
+                for l in range(1, cd.h) if qc.ctilde(cd, i, j, l)
+            )
+            assert dn.denominator(cd, i, j).factors == expected
 
 
 def test_type_a_closed_form_zero_set():

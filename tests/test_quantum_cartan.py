@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
@@ -67,6 +68,28 @@ def test_a2_against_direct_rational_inversion():
 
 def test_identity_suite_empty_for_small_types():
     for family, rank in [("A", 1), ("A", 2), ("A", 5), ("D", 4), ("E", 6)]:
+        cd = rs.build_cartan(family, rank)
+        assert qc.check_ctilde_identities(qc.ctilde_table(cd, 2 * cd.h)) == []
+
+
+def brute_force_automorphisms(cd):
+    """Every vertex permutation preserving the Cartan matrix, by search."""
+    return tuple(
+        perm for perm in permutations(cd.vertices)
+        if all(cd.c(i, j) == cd.c(perm[i - 1], perm[j - 1])
+               for i in cd.vertices for j in cd.vertices)
+    )
+
+
+@pytest.mark.parametrize("family,rank", rs.all_ade_types(8))
+def test_known_automorphism_groups_match_brute_force(family, rank):
+    cd = rs.build_cartan(family, rank)
+    assert qc._diagram_automorphisms(cd) == brute_force_automorphisms(cd)
+
+
+@pytest.mark.parametrize("family", ["A", "D"])
+def test_identity_suite_empty_up_to_rank_30(family):
+    for rank in range(1 if family == "A" else 4, 31):
         cd = rs.build_cartan(family, rank)
         assert qc.check_ctilde_identities(qc.ctilde_table(cd, 2 * cd.h)) == []
 

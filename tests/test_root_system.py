@@ -1,4 +1,9 @@
+import copy
+import pickle
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rmx import root_system as rs
 
@@ -76,8 +81,8 @@ def test_reflection_closure_of_positive_roots():
 )
 def test_coxeter_numbers(family, rank, h):
     cd = rs.build_cartan(family, rank)
-    assert cd.h == rs.coxeter_number(cd) == h
-    assert rs.star_involution(cd, 1) == cd.star_of(1)
+    assert cd.h == h
+    assert cd.star_of(cd.star_of(1)) == 1
 
 
 def test_star_involution_values():
@@ -112,3 +117,126 @@ def test_parity_base_flips_everything():
     b = rs.build_cartan("D", 5, parity_base=1)
     assert all(x != y for x, y in zip(a.eps, b.eps))
     assert a.cartan == b.cartan and a.star == b.star and a.h == b.h
+
+
+# ---------------------------------------------------------------------------
+# the interned kernel against dense references, over many types
+
+KERNEL_TYPES = rs.all_ade_types(12) + [
+    (family, n) for family in ("A", "D") for n in range(13, 31)
+]
+
+
+def dense_cartan(cd):
+    """The Cartan matrix read off the edge list, entry by entry."""
+    edges = {frozenset(e) for e in cd.edges}
+    return tuple(
+        tuple(2 if i == j else (-1 if frozenset((i, j)) in edges else 0)
+              for j in cd.vertices)
+        for i in cd.vertices
+    )
+
+
+def dense_reflect(cartan, i, v):
+    """r_i(v) = v - (v, alpha_i) alpha_i with the full pairing sum."""
+    pairing = sum(v[j] * cartan[i - 1][j] for j in range(len(v)))
+    return tuple(v[j] - (pairing if j == i - 1 else 0) for j in range(len(v)))
+
+
+def closed_form_star(family, n):
+    if family == "A":
+        return tuple(range(n, 0, -1))
+    if family == "D" and n % 2 == 1:
+        return tuple(range(1, n - 1)) + (n, n - 1)
+    if (family, n) == ("E", 6):
+        return (5, 4, 3, 2, 1, 6)
+    return tuple(range(1, n + 1))
+
+
+@st.composite
+def type_and_vector(draw):
+    family, n = draw(st.sampled_from(KERNEL_TYPES))
+    v = tuple(draw(st.lists(st.integers(-6, 6), min_size=n, max_size=n)))
+    return family, n, v
+
+
+@settings(max_examples=200, deadline=None)
+@given(type_and_vector(), st.data())
+def test_sparse_reflect_matches_dense_reference(tv, data):
+    family, n, v = tv
+    cd = rs.build_cartan(family, n)
+    i = data.draw(st.integers(1, n))
+    w = rs.reflect(cd, i, v)
+    assert w == dense_reflect(dense_cartan(cd), i, v)
+    if w == v:
+        assert w is v  # a zero pairing hands the vector back
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(KERNEL_TYPES), st.sampled_from((0, 1)))
+def test_build_cartan_interns_equal_arguments(type_, base):
+    family, n = type_
+    cd = rs.build_cartan(family, n, base)
+    assert rs.build_cartan(family, n, parity_base=base) is cd
+    if base == 0:
+        assert rs.build_cartan(family, n) is cd
+    other = rs.build_cartan(family, n, 1 - base)
+    assert other is not cd and other != cd
+    assert cd.cartan == dense_cartan(cd)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(KERNEL_TYPES), st.sampled_from((0, 1)))
+def test_hash_agrees_with_equality_through_pickle_and_copy(type_, base):
+    cd = rs.build_cartan(*type_, base)
+    for twin in (pickle.loads(pickle.dumps(cd)), copy.copy(cd), copy.deepcopy(cd)):
+        assert twin is cd
+        assert twin == cd and hash(twin) == hash(cd)
+        assert {cd: 1}[twin] == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(KERNEL_TYPES))
+def test_positive_root_count_and_star_closed_forms(type_):
+    family, n = type_
+    cd = rs.build_cartan(family, n)
+    roots = rs.positive_roots(cd)
+    assert 2 * len(roots) == n * cd.h
+    assert all(rs.is_positive_root(cd, r) for r in roots)
+    assert cd.star == closed_form_star(family, n)
+    assert all(cd.star_of(cd.star_of(i)) == i for i in cd.vertices)
+
+
+@pytest.mark.parametrize("family,rank", rs.all_ade_types(8))
+def test_positive_roots_match_dense_closure(family, rank):
+    cd = rs.build_cartan(family, rank)
+    cartan = dense_cartan(cd)
+    roots = {rs.simple_root(cd, i) for i in cd.vertices}
+    frontier = list(roots)
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for i in cd.vertices:
+                w = dense_reflect(cartan, i, v)
+                if all(c >= 0 for c in w) and w not in roots:
+                    roots.add(w)
+                    nxt.append(w)
+        frontier = nxt
+    assert rs.positive_roots(cd) == tuple(sorted(roots))
+
+
+def test_rank_cap():
+    cd = rs.build_cartan("A", rs.MAX_RANK)
+    assert cd.h == rs.MAX_RANK + 1
+    for family, rank in (("A", rs.MAX_RANK + 1), ("D", rs.MAX_RANK + 1), ("A", 10**12)):
+        with pytest.raises(rs.InvalidTypeError, match="maximum"):
+            rs.build_cartan(family, rank)
+
+
+def test_neighbors_and_adjacency_follow_the_edges():
+    for family, rank in rs.all_ade_types(8):
+        cd = rs.build_cartan(family, rank)
+        for i in cd.vertices:
+            expected = {v for u, v in cd.edges if u == i} | {u for u, v in cd.edges if v == i}
+            assert set(cd.neighbors(i)) == expected
+            assert all(cd.adjacent(i, j) == (j in expected) for j in cd.vertices)

@@ -22,6 +22,23 @@ def test_gamma_window_a2():
     }
 
 
+@pytest.mark.parametrize("family,rank,p_lo,p_hi", [
+    ("A", 5, -3, 9), ("D", 5, 0, 8), ("E", 6, -13, 14), ("A", 1, 2, 2),
+])
+def test_gamma_window_matches_all_pairs(family, rank, p_lo, p_hi):
+    # the height window skips only pairs whose Ext group vanishes, and the
+    # arrows keep the all-pairs order
+    cd = rs.build_cartan(family, rank)
+    verts = ar.delta_vertices(cd, p_lo, p_hi)
+    expected = tuple(
+        (u, v, ar.ext1_dim(cd, v, u))
+        for u in verts for v in verts if ar.ext1_dim(cd, v, u)
+    )
+    win = sw.gamma_window(cd, p_lo, p_hi)
+    assert win.vertices == tuple(verts)
+    assert win.arrows == expected
+
+
 def test_gamma_window_a1_chain():
     cd = rs.build_cartan("A", 1)
     win = sw.gamma_window(cd, 0, 4)
