@@ -5,13 +5,18 @@ the Auslander-Reiten translate acts by the knitting rule: apply the Coxeter
 element to the root and absorb a sign flip into the shift.  The bijection
 between repetition-quiver vertices (i, p) and objects is computed exactly,
 never tabulated per type.
+
+``_tau_orbits`` is the one knitting table: one tau period of each injective
+I_i per (Q, xi).  The module strip, the Happel maps and the Coxeter-formula
+``quantum_cartan.ctilde_coxeter`` all read it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
+from itertools import product
+from typing import Iterator, NamedTuple
 
 from rmx import quantum_cartan as qc
 from rmx import root_system as rs
@@ -67,16 +72,11 @@ def random_orientation(cd: CartanData, seed: int) -> DynkinQuiver:
     return orient(cd, arrows)
 
 
-def all_orientations(cd: CartanData) -> list[DynkinQuiver]:
-    from itertools import product
-
-    out = []
+def all_orientations(cd: CartanData) -> Iterator[DynkinQuiver]:
+    """Yield the 2^(n-1) orientations lazily, the diagram's own edges first."""
     for flips in product((False, True), repeat=len(cd.edges)):
-        arrows = [
-            (v, u) if f else (u, v) for (u, v), f in zip(cd.edges, flips)
-        ]
-        out.append(orient(cd, arrows))
-    return out
+        yield orient(cd, [(v, u) if f else (u, v)
+                          for (u, v), f in zip(cd.edges, flips)])
 
 
 # ---------------------------------------------------------------------------
@@ -251,16 +251,17 @@ def happel_inverse(Q: DynkinQuiver, xi: tuple[int, ...],
 
 @lru_cache(maxsize=None)
 def module_strip(Q: DynkinQuiver, xi: tuple[int, ...]) -> dict:
-    """All (i, p) whose object is an honest module, mapped to its root."""
-    cd = Q.cd
+    """All (i, p) whose object is an honest module, mapped to its root.
+
+    These are the shift-0 prefixes of the tau orbits: (i, xi_i - 2s) for s
+    up to the first tau^s(I_i) with a nonzero shift.
+    """
     strip: dict[DeltaVertex, Vec] = {}
-    for i in cd.vertices:
-        obj = IndecObject(gamma_vector(Q, i), 0)
-        p = xi[i - 1]
-        while obj.shift == 0:
-            strip[(i, p)] = obj.root
-            obj = tau_object(Q, xi, obj, 1)
-            p -= 2
+    for i, orbit in zip(Q.cd.vertices, _tau_orbits(Q, xi)):
+        for s, (root, shift) in enumerate(orbit):
+            if shift:
+                break
+            strip[(i, xi[i - 1] - 2 * s)] = root
     return strip
 
 

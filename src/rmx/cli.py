@@ -242,10 +242,9 @@ def cmd_export(args) -> str:
     if args.what == "gamma":
         _check_p_window(args)
         win = sw.gamma_window(cd, args.p_lo, args.p_hi)
-        arrows = sorted(win.arrows)
         if args.format == "dot":
-            return _emit_dot("gamma", win.vertices, arrows)
-        return _emit_json(_graph_payload(win.vertices, arrows))
+            return _emit_dot("gamma", win.vertices, win.arrows)
+        return _emit_json(_graph_payload(win.vertices, win.arrows))
     if args.what == "gamma-j":
         if args.N is None or args.j_lo is None or args.j_hi is None:
             raise CliError("--N, --j-lo and --j-hi are required")
@@ -261,10 +260,9 @@ def cmd_export(args) -> str:
         except ValueError as exc:
             raise CliError(str(exc)) from exc
         win = sw.gamma_J(cd, fam)
-        arrows = sorted(win.arrows)
         if args.format == "dot":
-            return _emit_dot("gamma_J", win.vertices, arrows)
-        return _emit_json(_graph_payload(win.vertices, arrows))
+            return _emit_dot("gamma_J", win.vertices, win.arrows)
+        return _emit_json(_graph_payload(win.vertices, win.arrows))
     raise CliError(f"unknown export {args.what!r}")
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 from rmx import ar_quiver as ar
 from rmx import linalg as la
@@ -179,25 +180,26 @@ def monomial_leq(cd: CartanData, m: Monomial, m2: Monomial) -> bool:
 # Dorey middle terms at simple poles
 
 
-def _height_base(Q: DynkinQuiver) -> tuple[int, ...]:
-    return ar.default_height(Q)
-
-
 def _placements(cd: CartanData, x: DeltaVertex, y: DeltaVertex,
                 prefer: DynkinQuiver | None = None):
-    """Yield (Q, xi) making both x and y shift-zero modules, with roots."""
+    """Yield (Q, xi) making both x and y shift-zero modules, with roots.
+
+    The modules at vertex i sit at heights xi_i, xi_i - 2, ... without a
+    gap, so the shifts 2t of the default height that place both x and y
+    form an interval, walked upwards from its least element.
+    """
     (i, p), (j, r) = x, y
     quivers = ar.all_orientations(cd)
     if prefer is not None:
-        quivers = [prefer] + [q for q in quivers if q != prefer]
+        quivers = chain([prefer], (q for q in quivers if q != prefer))
     for Q in quivers:
-        base = _height_base(Q)
+        base = ar.default_height(Q)
         strip = ar.module_strip(Q, base)
-        ts_x = {(p - p0) // 2 for (i0, p0) in strip if i0 == i and (p - p0) % 2 == 0}
-        ts_y = {(r - r0) // 2 for (j0, r0) in strip if j0 == j and (r - r0) % 2 == 0}
-        for t in sorted(ts_x & ts_y):
+        t = max(p - base[i - 1], r - base[j - 1]) // 2
+        while (i, p - 2 * t) in strip and (j, r - 2 * t) in strip:
             xi_t = ar.shift_height(base, 2 * t)
             yield Q, xi_t, strip[(i, p - 2 * t)], strip[(j, r - 2 * t)]
+            t += 1
 
 
 def common_heart(cd: CartanData, x: DeltaVertex, y: DeltaVertex):

@@ -17,6 +17,7 @@ from functools import lru_cache
 from itertools import permutations
 from operator import add
 
+from rmx import ar_quiver as ar  # imports this module too; used at call time
 from rmx.root_system import CartanData, Vec
 
 
@@ -77,27 +78,18 @@ def ctilde_coxeter(cd, Q, xi, i: int, j: int, l: int) -> int:
     """ct_ij(l) through the Coxeter-element formula for a quiver with heights.
 
     Returns 0 when l + eps_i + eps_j + 1 is odd; otherwise pairs
-    tau^((l + xi_i - xi_j - 1)/2) (gamma_i) with the fundamental weight w_j.
-    Independent of the choice of (Q, xi).
+    c^k(gamma_i), k = (l + xi_i - xi_j - 1)/2, with the fundamental weight
+    w_j.  That vector is tau^k(I_i) read off the knitting table, negated
+    when the shift is odd; tau^h adds the even shift -2, so k mod h is
+    enough.  Independent of the choice of (Q, xi).
     """
     if l < 1:
         raise ValueError("l must be >= 1")
     if (l + cd.eps_of(i) + cd.eps_of(j) + 1) % 2 == 1:
         return 0
     k = (l + xi[i - 1] - xi[j - 1] - 1) // 2
-    v = _tau_power_gamma(Q, xi, i, k)
-    return v[j - 1]
-
-
-@lru_cache(maxsize=None)
-def _tau_power_gamma(Q, xi, i: int, k: int) -> Vec:
-    from rmx import ar_quiver as ar
-
-    if k == 0:
-        return ar.gamma_vector(Q, i)
-    word = ar.coxeter_word(Q, xi)
-    prev = _tau_power_gamma(Q, xi, i, k - 1 if k > 0 else k + 1)
-    return ar.coxeter_apply(Q.cd, word, prev, 1 if k > 0 else -1)
+    root, shift = ar._tau_orbits(Q, xi)[i - 1][k % cd.h]
+    return -root[j - 1] if shift % 2 else root[j - 1]
 
 
 def rational_inversion_residual(cd: CartanData, L: int, z0):

@@ -145,14 +145,35 @@ def _ext_oracle_pairs(cd, window: int):
                 yield x, y, placement
 
 
+def _sampled_pairs(cd, count: int):
+    """``count`` seeded random vertex pairs that admit a common heart."""
+    rng = random.Random(2024)
+    verts = ar.delta_vertices(cd, -2 * cd.h, 2 * cd.h)
+    found = 0
+    while found < count:
+        x = rng.choice(verts)
+        y = rng.choice(verts)
+        placement = dn.common_heart(cd, x, y)
+        if placement is None:
+            continue
+        found += 1
+        yield x, y, placement
+
+
 def check_ext_oracle(labels=("A3", "D4"), e6_samples: int = 0):
     """Window formulas against explicit-representation Hom/Ext, exactly."""
-    bad = []
-    tested = 0
+    cases = []
     for label in labels:
         cd = rs.build_cartan(label[0], int(label[1:]))
-        for x, y, placement in _ext_oracle_pairs(cd, 2 * cd.h):
-            Qp, xi_t, root_x, root_y = placement
+        cases.append((cd, _ext_oracle_pairs(cd, 2 * cd.h)))
+    if e6_samples:
+        cd = rs.build_cartan("E", 6)
+        cases.append((cd, _sampled_pairs(cd, e6_samples)))
+    bad = []
+    tested = 0
+    for cd, pairs in cases:
+        label = cd.label()
+        for x, y, (Qp, xi_t, root_x, root_y) in pairs:
             Mx = ro.indec_rep(Qp, root_x)
             My = ro.indec_rep(Qp, root_y)
             tested += 1
@@ -164,26 +185,6 @@ def check_ext_oracle(labels=("A3", "D4"), e6_samples: int = 0):
                 Qp, root_x, root_y
             ):
                 bad.append(f"{label}: euler reconciliation fails at {x},{y}")
-    if e6_samples:
-        cd = rs.build_cartan("E", 6)
-        rng = random.Random(2024)
-        verts = ar.delta_vertices(cd, -2 * cd.h, 2 * cd.h)
-        found = 0
-        while found < e6_samples:
-            x = rng.choice(verts)
-            y = rng.choice(verts)
-            placement = dn.common_heart(cd, x, y)
-            if placement is None:
-                continue
-            found += 1
-            tested += 1
-            Qp, xi_t, root_x, root_y = placement
-            Mx = ro.indec_rep(Qp, root_x)
-            My = ro.indec_rep(Qp, root_y)
-            if dn.pole_order(cd, x, y) != ro.ext1_dim_rep(My, Mx):
-                bad.append(f"E6: ext mismatch at {x},{y}")
-            if ar.hom_dim(cd, x, y) != ro.hom_dim_rep(Mx, My):
-                bad.append(f"E6: hom mismatch at {x},{y}")
     return not bad, "; ".join(bad[:3]) if bad else f"{tested} common-heart pairs agree"
 
 

@@ -126,12 +126,31 @@ def test_nakayama_shift_relation():
             assert b == IndecObject(a.root, a.shift + 1)
 
 
+def _knit_strip(Q, xi):
+    """Reference: knit from each I_i until the first nonzero shift."""
+    strip = {}
+    for i in Q.cd.vertices:
+        obj = IndecObject(ar.gamma_vector(Q, i), 0)
+        p = xi[i - 1]
+        while obj.shift == 0:
+            strip[(i, p)] = obj.root
+            obj = ar.tau_object(Q, xi, obj, 1)
+            p -= 2
+    return strip
+
+
 def test_module_strip_has_one_object_per_root():
-    for family, rank in [("A", 3), ("D", 4)]:
+    # module_strip reads the shift-0 prefixes of the cached tau orbits; the
+    # knitting loop above is the reference, insertion order included
+    types = [("A", n) for n in range(1, 6)] + [("D", 4), ("D", 5), ("D", 6), ("E", 6)]
+    for family, rank in types:
         cd = rs.build_cartan(family, rank)
         for Q in ar.all_orientations(cd):
-            strip = ar.module_strip(Q, ar.default_height(Q))
-            assert sorted(strip.values()) == sorted(rs.positive_roots(cd))
+            for t in (0, -6, 6):
+                xi = ar.shift_height(ar.default_height(Q), t)
+                strip = ar.module_strip(Q, xi)
+                assert list(strip.items()) == list(_knit_strip(Q, xi).items())
+                assert sorted(strip.values()) == sorted(rs.positive_roots(cd))
 
 
 def test_euler_form_examples():

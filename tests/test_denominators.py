@@ -1,3 +1,6 @@
+from functools import lru_cache
+from itertools import product
+
 import pytest
 
 from rmx import ar_quiver as ar
@@ -165,6 +168,75 @@ def test_monomial_leq_examples():
     # a square of a single A-monomial (tests integrality handling)
     sq = dn.a_monomial(cd, 1, 0) * dn.a_monomial(cd, 1, 0)
     assert dn.monomial_leq(cd, Monomial.unit(), sq)
+
+
+@lru_cache(maxsize=None)
+def _orientations(cd):
+    return tuple(ar.all_orientations(cd))
+
+
+@lru_cache(maxsize=None)
+def _strip_shifts(Q, i, p):
+    """The t with (i, p - 2t) in the strip of Q at its default height."""
+    strip = ar.module_strip(Q, ar.default_height(Q))
+    return frozenset((p - p0) // 2 for (i0, p0) in strip
+                     if i0 == i and (p - p0) % 2 == 0)
+
+
+def _placements_by_scan(cd, x, y, prefer=None):
+    """Reference: scan each whole strip for the shifts placing x, then y."""
+    (i, p), (j, r) = x, y
+    quivers = _orientations(cd)
+    if prefer is not None:
+        quivers = [prefer] + [q for q in quivers if q != prefer]
+    for Q in quivers:
+        base = ar.default_height(Q)
+        strip = ar.module_strip(Q, base)
+        for t in sorted(_strip_shifts(Q, i, p) & _strip_shifts(Q, j, r)):
+            xi_t = ar.shift_height(base, 2 * t)
+            yield Q, xi_t, strip[(i, p - 2 * t)], strip[(j, r - 2 * t)]
+
+
+@pytest.mark.parametrize("family,rank", [
+    ("A", 1), ("A", 2), ("A", 3), ("A", 4), ("A", 5),
+    ("D", 4), ("D", 5), ("D", 6), ("E", 6),
+])
+def test_placements_match_strip_scan(family, rank):
+    # the shifts placing both x and y form an interval, walked from its
+    # least element; the whole-strip scan is the reference, order included.
+    # The pairs take turns between no preferred quiver and each orientation.
+    cd = rs.build_cartan(family, rank)
+    prefers = (None,) + _orientations(cd)
+    verts = ar.delta_vertices(cd, -cd.h, cd.h)
+    for k, (x, y) in enumerate(product(verts, repeat=2)):
+        prefer = prefers[k % len(prefers)]
+        assert (list(dn._placements(cd, x, y, prefer))
+                == list(_placements_by_scan(cd, x, y, prefer)))
+
+
+def test_common_heart_builds_only_the_quivers_it_tries(monkeypatch):
+    # orientations are enumerated lazily: the first one already places both
+    # objects, so it is the only quiver built, not all 2^(n-1)
+    built = []
+    orient = ar.orient
+
+    def counting_orient(cd, arrows):
+        built.append(arrows)
+        return orient(cd, arrows)
+
+    monkeypatch.setattr(ar, "orient", counting_orient)
+    cd = rs.build_cartan("A", 12)
+    assert dn.common_heart(cd, (1, 0), (1, 2)) is not None
+    assert len(built) == 1
+
+
+def test_common_heart_at_rank_40_is_the_monotone_placement():
+    cd = rs.build_cartan("A", 40)
+    Q, xi, root_x, root_y = dn.common_heart(cd, (1, 0), (1, 2))
+    assert Q == ar.monotone_quiver(cd)
+    assert xi == ar.shift_height(ar.default_height(Q), 2)
+    assert root_x == rs.simple_root(cd, 2)
+    assert root_y == rs.simple_root(cd, 1)
 
 
 def test_dorey_examples():

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from functools import lru_cache
 from itertools import permutations
 
 import pytest
@@ -120,6 +121,52 @@ def test_coxeter_formula_examples():
     assert qc.ctilde_coxeter(cd, Q, xi, 1, 2, 1) == 0
     with pytest.raises(ValueError):
         qc.ctilde_coxeter(cd, Q, xi, 1, 1, 0)
+
+
+@lru_cache(maxsize=None)
+def _tau_power_gamma(Q, xi, i, k):
+    """Reference: c^k(gamma_i), one Coxeter step at a time from gamma_i."""
+    if k == 0:
+        return ar.gamma_vector(Q, i)
+    word = ar.coxeter_word(Q, xi)
+    prev = _tau_power_gamma(Q, xi, i, k - 1 if k > 0 else k + 1)
+    return ar.coxeter_apply(Q.cd, word, prev, 1 if k > 0 else -1)
+
+
+@pytest.mark.parametrize("family,rank", [
+    ("A", 1), ("A", 2), ("A", 3), ("A", 4), ("A", 5),
+    ("D", 4), ("D", 5), ("D", 6), ("E", 6),
+])
+def test_coxeter_formula_matches_recursive_power(family, rank):
+    # ctilde_coxeter reads tau^(k mod h)(I_i) off the knitting table; the
+    # recursive Coxeter power is the reference, on every orientation
+    cd = rs.build_cartan(family, rank)
+    for Q in ar.all_orientations(cd):
+        for t in (0, -6, 6):
+            xi = ar.shift_height(ar.default_height(Q), t)
+            for i in cd.vertices:
+                for j in cd.vertices:
+                    for l in range(1, 3 * cd.h + 1):
+                        want = 0
+                        if (l + cd.eps_of(i) + cd.eps_of(j)) % 2 == 1:
+                            k = (l + xi[i - 1] - xi[j - 1] - 1) // 2
+                            want = _tau_power_gamma(Q, xi, i, k)[j - 1]
+                        assert qc.ctilde_coxeter(cd, Q, xi, i, j, l) == want, (
+                            Q.label(), t, i, j, l)
+
+
+@pytest.mark.parametrize("family,rank", [("A", 1), ("E", 8)])
+def test_coxeter_formula_far_out(family, rank):
+    # one value costs the same at any l: a recursion of one Coxeter step
+    # per power would overflow the stack here (k is about 1000 on A1)
+    cd = rs.build_cartan(family, rank)
+    Q = ar.monotone_quiver(cd)
+    base = ar.default_height(Q)
+    for xi in (base, ar.shift_height(base, -2000)):
+        for l in (2001, 20001):
+            for i in cd.vertices:
+                for j in cd.vertices:
+                    assert qc.ctilde_coxeter(cd, Q, xi, i, j, l) == qc.ctilde(cd, i, j, l)
 
 
 @pytest.mark.parametrize("family,rank", [("A", 3), ("D", 4), ("D", 5), ("E", 6)])

@@ -39,6 +39,18 @@ def test_gamma_window_matches_all_pairs(family, rank, p_lo, p_hi):
     assert win.arrows == expected
 
 
+@pytest.mark.parametrize("family,rank", rs.all_ade_types(8) + [("A", 20), ("D", 12)])
+def test_window_arrows_are_sorted(family, rank):
+    # arrows come by source, then by target, so exports print them as listed
+    cd = rs.build_cartan(family, rank)
+    Q = ar.monotone_quiver(cd)
+    N = rank + 1 if family == "A" else rank
+    fam = sw.type_a_family(cd, Q, ar.default_height(Q, -2), N, -8, 8)
+    for win in (sw.gamma_window(cd, -cd.h, cd.h), sw.gamma_J(cd, fam)):
+        assert win.arrows
+        assert win.arrows == tuple(sorted(win.arrows))
+
+
 def test_gamma_window_a1_chain():
     cd = rs.build_cartan("A", 1)
     win = sw.gamma_window(cd, 0, 4)
