@@ -7,8 +7,8 @@ between repetition-quiver vertices (i, p) and objects is computed exactly,
 never tabulated per type.
 
 ``_tau_orbits`` is the one knitting table: one tau period of each injective
-I_i per (Q, xi).  The module strip, the Happel maps and the Coxeter-formula
-``quantum_cartan.ctilde_coxeter`` all read it.
+I_i per quiver Q.  The module strip, the Happel maps and the Coxeter-formula
+``quantum_cartan.ctilde_coxeter`` read it at any height function of Q.
 """
 
 from __future__ import annotations
@@ -194,11 +194,12 @@ def check_delta_vertex(cd: CartanData, x: DeltaVertex) -> None:
 
 
 @lru_cache(maxsize=None)
-def _tau_orbits(Q: DynkinQuiver, xi: tuple[int, ...]) -> tuple[tuple[IndecObject, ...], ...]:
+def _tau_orbits(Q: DynkinQuiver) -> tuple[tuple[IndecObject, ...], ...]:
     """For each vertex i, the objects tau^s(I_i) for s = 0..h-1.
 
     Knitting closes each orbit: tau^h(I_i) = I_i[-2], so these h objects and
-    the shift determine tau^s(I_i) for every integer s.
+    the shift determine tau^s(I_i) for every integer s.  Every height of Q
+    is an even shift of ``default_height(Q)``, with the same Coxeter word.
     """
     cd = Q.cd
     orbits = []
@@ -207,7 +208,7 @@ def _tau_orbits(Q: DynkinQuiver, xi: tuple[int, ...]) -> tuple[tuple[IndecObject
         orbit = []
         for _ in range(cd.h):
             orbit.append(obj)
-            obj = tau_object(Q, xi, obj, 1)
+            obj = tau_object(Q, default_height(Q), obj, 1)
         assert obj == IndecObject(orbit[0].root, -2)
         orbits.append(tuple(orbit))
     return tuple(orbits)
@@ -222,20 +223,19 @@ def happel_object(Q: DynkinQuiver, xi: tuple[int, ...], x: DeltaVertex) -> Indec
     if steps % 2 != 0:
         raise ValueError(f"xi_{i} - p must be even, got {steps}")
     periods, s = divmod(steps // 2, Q.cd.h)
-    root, shift = _tau_orbits(Q, xi)[i - 1][s]
+    root, shift = _tau_orbits(Q)[i - 1][s]
     return IndecObject(root, shift - 2 * periods)
 
 
 @lru_cache(maxsize=None)
-def _orbit_index(Q: DynkinQuiver, xi: tuple[int, ...]):
-    """For each root and shift parity, the (i, p, shift) hit in one tau period."""
+def _orbit_index(Q: DynkinQuiver):
+    """For each root and shift parity, the (i, s, shift) of its tau^s(I_i)."""
     index: dict[tuple[Vec, int], tuple[int, int, int]] = {}
-    for i, orbit in zip(Q.cd.vertices, _tau_orbits(Q, xi)):
-        p = xi[i - 1]
+    for i, orbit in zip(Q.cd.vertices, _tau_orbits(Q)):
         for s, obj in enumerate(orbit):
             key = (obj.root, obj.shift % 2)
             assert key not in index
-            index[key] = (i, p - 2 * s, obj.shift)
+            index[key] = (i, s, obj.shift)
     return index
 
 
@@ -245,8 +245,8 @@ def happel_inverse(Q: DynkinQuiver, xi: tuple[int, ...],
     check_height(Q, xi)
     if not rs.is_positive_root(Q.cd, obj.root):
         raise ValueError(f"{obj.root} is not a positive root")
-    i, p0, s0 = _orbit_index(Q, xi)[(obj.root, obj.shift % 2)]
-    return (i, p0 + Q.cd.h * (obj.shift - s0))
+    i, s, s0 = _orbit_index(Q)[(obj.root, obj.shift % 2)]
+    return (i, xi[i - 1] - 2 * s + Q.cd.h * (obj.shift - s0))
 
 
 @lru_cache(maxsize=None)
@@ -257,7 +257,7 @@ def module_strip(Q: DynkinQuiver, xi: tuple[int, ...]) -> dict:
     up to the first tau^s(I_i) with a nonzero shift.
     """
     strip: dict[DeltaVertex, Vec] = {}
-    for i, orbit in zip(Q.cd.vertices, _tau_orbits(Q, xi)):
+    for i, orbit in zip(Q.cd.vertices, _tau_orbits(Q)):
         for s, (root, shift) in enumerate(orbit):
             if shift:
                 break

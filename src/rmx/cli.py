@@ -164,7 +164,7 @@ def cmd_dorey(args) -> str:
     xi = _height(Q, args.xi1)
     try:
         mono = dn.dorey_middle_term(cd, Q, xi, x, y)
-    except (dn.NotSimplePoleError, dn.DoreyPlacementError) as exc:
+    except dn.NotSimplePoleError as exc:
         raise CliError(str(exc), code=3) from exc
     if args.format == "json":
         return _emit_json({"middle_term": dict(

@@ -10,19 +10,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 
 from rmx import ar_quiver as ar
 from rmx import linalg as la
 from rmx import quantum_cartan as qc
 from rmx import rep_oracle as ro
-from rmx import root_system as rs
 from rmx.ar_quiver import DeltaVertex, DynkinQuiver, IndecObject
 from rmx.root_system import CartanData
-
-
-class DoreyPlacementError(RuntimeError):
-    """No orientation placed both objects in a common module heart."""
 
 
 class NotSimplePoleError(ValueError):
@@ -180,26 +174,36 @@ def monomial_leq(cd: CartanData, m: Monomial, m2: Monomial) -> bool:
 # Dorey middle terms at simple poles
 
 
-def _placements(cd: CartanData, x: DeltaVertex, y: DeltaVertex,
-                prefer: DynkinQuiver | None = None):
-    """Yield (Q, xi) making both x and y shift-zero modules, with roots.
+def _placements(cd: CartanData, x: DeltaVertex, y: DeltaVertex):
+    """Yield (Q, xi, root_x, root_y) for each height function xi, lo first,
+    whose modules include x = (i, p) and y = (j, r).
 
-    The modules at vertex i sit at heights xi_i, xi_i - 2, ... without a
-    gap, so the shifts 2t of the default height that place both x and y
-    form an interval, walked upwards from its least element.
+    xi fixes its quiver, and its modules are the (k, q) with
+    xi_{k*} - h + 2 <= q <= xi_k, so xi places x and y exactly when
+    lo <= xi <= hi, with the height functions lo_v = max(p - d(i, v),
+    r - d(j, v)) and hi_v = min(p + h - 2 + d(i*, v), r + h - 2 + d(j*, v)).
+    Only the later placements walk the orientations.
     """
     (i, p), (j, r) = x, y
-    quivers = ar.all_orientations(cd)
-    if prefer is not None:
-        quivers = chain([prefer], (q for q in quivers if q != prefer))
-    for Q in quivers:
+    d, h = cd.distance, cd.h
+    i_star, j_star = cd.star_of(i), cd.star_of(j)
+    lo = tuple(max(p - d[i - 1][v], r - d[j - 1][v]) for v in range(cd.rank))
+    hi = tuple(min(p + h - 2 + d[i_star - 1][v], r + h - 2 + d[j_star - 1][v])
+               for v in range(cd.rank))
+    if any(a > b for a, b in zip(lo, hi)):
+        return
+    Q = ar.orient(cd, [(u, v) if lo[u - 1] > lo[v - 1] else (v, u)
+                       for u, v in cd.edges])
+    yield Q, lo, ar.happel_object(Q, lo, x).root, ar.happel_object(Q, lo, y).root
+    for Q in ar.all_orientations(cd):
         base = ar.default_height(Q)
         strip = ar.module_strip(Q, base)
-        t = max(p - base[i - 1], r - base[j - 1]) // 2
-        while (i, p - 2 * t) in strip and (j, r - 2 * t) in strip:
-            xi_t = ar.shift_height(base, 2 * t)
-            yield Q, xi_t, strip[(i, p - 2 * t)], strip[(j, r - 2 * t)]
-            t += 1
+        t_lo = max((a - b) // 2 for a, b in zip(lo, base))
+        t_hi = min((c - b) // 2 for c, b in zip(hi, base))
+        for t in range(t_lo, t_hi + 1):
+            xi = ar.shift_height(base, 2 * t)
+            if xi != lo:
+                yield Q, xi, strip[(i, p - 2 * t)], strip[(j, r - 2 * t)]
 
 
 def common_heart(cd: CartanData, x: DeltaVertex, y: DeltaVertex):
@@ -217,6 +221,9 @@ def dorey_middle_term(cd: CartanData, Q: DynkinQuiver, xi, x: DeltaVertex,
     reads the Krull-Schmidt summands back through the (i, p) bijection.  At
     column distance exactly h the quotient object is the shift of the sub
     (forced by ct_ij(h-1) = delta_{j,i*}) and the middle term vanishes.
+    (Q, xi) is validated but does not change the answer.  Every other simple
+    pole is placed, as r - p <= h - 2 + d(i*, j): at r - p = h - 1 the pole
+    is ct_ij(h-2) = ct_(j,i*)(2) = [j ~ i*].
     """
     ar.check_height(Q, xi)
     order = pole_order(cd, x, y)
@@ -228,7 +235,7 @@ def dorey_middle_term(cd: CartanData, Q: DynkinQuiver, xi, x: DeltaVertex,
         assert j == cd.star_of(i), "simple pole at distance h forces j = i*"
         return Monomial.unit()
     results = []
-    for Qp, xi_t, root_x, root_y in _placements(cd, x, y, prefer=Q):
+    for Qp, xi_t, root_x, root_y in _placements(cd, x, y):
         Mx = ro.indec_rep(Qp, root_x)
         My = ro.indec_rep(Qp, root_y)
         middle = ro.nonsplit_extension(Mx, My)
@@ -240,11 +247,6 @@ def dorey_middle_term(cd: CartanData, Q: DynkinQuiver, xi, x: DeltaVertex,
         if not check_all:
             return mono
         results.append(mono)
-    if not results:
-        raise DoreyPlacementError(
-            f"no orientation places {x} and {y} in a common heart"
-        )
-    first = results[0]
-    if any(m != first for m in results):
+    if len(set(results)) != 1:
         raise ro.OracleError("Dorey middle term differs between placements")
-    return first
+    return results[0]

@@ -88,7 +88,7 @@ def ctilde_coxeter(cd, Q, xi, i: int, j: int, l: int) -> int:
     if (l + cd.eps_of(i) + cd.eps_of(j) + 1) % 2 == 1:
         return 0
     k = (l + xi[i - 1] - xi[j - 1] - 1) // 2
-    root, shift = ar._tau_orbits(Q, xi)[i - 1][k % cd.h]
+    root, shift = ar._tau_orbits(Q)[i - 1][k % cd.h]
     return -root[j - 1] if shift % 2 else root[j - 1]
 
 

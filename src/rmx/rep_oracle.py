@@ -3,8 +3,8 @@
 Representations carry exact rational matrices; Hom and Ext^1 come from the
 intertwining linear system, indecomposables are built randomly and certified
 by dim End = 1 (with a reflection-functor construction as deterministic
-fallback), and Krull-Schmidt decomposition is recovered by solving the
-Hom-count linear system against all indecomposables.
+fallback), and Krull-Schmidt decomposition is recovered from a unitriangular
+system of Hom counts over the roots at most dim R.
 
 Floating point is deliberately impossible here: every matrix entry is an int
 or Fraction and every rank decision is exact.
@@ -18,6 +18,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from rmx import ar_quiver as ar
 from rmx import linalg as la
@@ -212,9 +213,6 @@ def ext1_dim_rep(M: QuiverRep, N: QuiverRep) -> int:
 # indecomposables
 
 
-_indec_cache: dict = {}
-
-
 def _stable_seed(*parts) -> int:
     digest = hashlib.sha256(repr(parts).encode()).digest()
     return int.from_bytes(digest[:8], "big")
@@ -225,29 +223,27 @@ def base_seed() -> int:
     return int(env) if env else 0
 
 
-def indec_rep(Q: DynkinQuiver, alpha: Vec, max_retries: int = 20) -> QuiverRep:
+def indec_rep(Q: DynkinQuiver, alpha: Vec) -> QuiverRep:
     """The indecomposable representation with dimension vector alpha.
 
     Deterministic random integer matrices, certified by dim End = 1 and
-    retried a bounded number of times; falls back to building tau-translates
-    of an injective through reflection functors.
+    retried up to 20 times; falls back to building tau-translates of an
+    injective through reflection functors.
     """
     if not rs.is_positive_root(Q.cd, alpha):
         raise ValueError(f"{alpha} is not a positive root")
-    key = (Q, alpha, base_seed())
-    if key in _indec_cache:
-        return _indec_cache[key]
-    rep = None
-    for attempt in range(max_retries):
-        cand = _random_rep(Q, alpha, _stable_seed(base_seed(), Q.arrows, alpha, attempt))
+    return _indec_rep(Q, alpha, base_seed())
+
+
+@lru_cache(maxsize=None)
+def _indec_rep(Q: DynkinQuiver, alpha: Vec, seed: int) -> QuiverRep:
+    for attempt in range(20):
+        cand = _random_rep(Q, alpha, _stable_seed(seed, Q.arrows, alpha, attempt))
         if hom_dim_rep(cand, cand) == 1:
-            rep = cand
-            break
-    if rep is None:
-        rep = _indec_rep_bgp(Q, alpha)
-        if hom_dim_rep(rep, rep) != 1:
-            raise OracleError(f"reflection construction failed End certificate for {alpha}")
-    _indec_cache[key] = rep
+            return cand
+    rep = _indec_rep_bgp(Q, alpha)
+    if hom_dim_rep(rep, rep) != 1:
+        raise OracleError(f"reflection construction failed End certificate for {alpha}")
     return rep
 
 
@@ -399,38 +395,31 @@ def nonsplit_extension(Msub: QuiverRep, Mquot: QuiverRep) -> QuiverRep:
     return QuiverRep(Q, dims, mats)
 
 
-_gram_cache: dict = {}
-
-
-def _hom_gram(Q: DynkinQuiver):
-    """Hom counts between all indecomposables, plus the ordered root list."""
-    if Q not in _gram_cache:
-        roots = rs.positive_roots(Q.cd)
-        reps = [indec_rep(Q, g) for g in roots]
-        gram = [[hom_dim_rep(a, b) for b in reps] for a in reps]
-        _gram_cache[Q] = (roots, gram)
-    return _gram_cache[Q]
-
-
 def decompose(R: QuiverRep) -> Counter:
     """The multiset of roots with R isomorphic to the matching direct sum.
 
-    Solves the exact system sum_d hom(M_g, M_d) mu_d = hom(M_g, R) over all
-    positive roots g; modules over a representation-finite algebra are pinned
-    down by these Hom counts.
+    The Hom counts hom(M_g, R) = sum_d hom(M_g, M_d) mu_d pin R down.  Only
+    roots g <= dim R can be summands, and Hom(M_g, M_d) != 0 for g != d puts
+    d strictly higher in the AR quiver: the system is unitriangular, solved
+    from the top down in integers, and each equation is certified by
+    hom(M_g, M_d) = 0 for every summand d below g.
     """
     Q = R.Q
-    roots, gram = _hom_gram(Q)
-    target = [hom_dim_rep(indec_rep(Q, g), R) for g in roots]
-    mu = la.solve(gram, target, len(roots))
-    if mu is None:
-        raise OracleError("Hom-count system inconsistent")
+    xi = ar.default_height(Q)
+    candidates = sorted(
+        (g for g in rs.positive_roots(Q.cd) if all(a <= b for a, b in zip(g, R.dims))),
+        key=lambda g: -ar.happel_inverse(Q, xi, IndecObject(g, 0))[1])
     out: Counter = Counter()
-    for g, m in zip(roots, mu):
-        if m.denominator != 1 or m < 0:
-            raise OracleError(f"non-integral or negative multiplicity {m} at {g}")
+    for k, g in enumerate(candidates):
+        Mg = indec_rep(Q, g)
+        m = hom_dim_rep(Mg, R) - sum(
+            hom_dim_rep(Mg, indec_rep(Q, d)) * md for d, md in out.items())
+        if m < 0:
+            raise OracleError(f"negative multiplicity {m} at {g}")
         if m:
-            out[g] = int(m)
+            if any(hom_dim_rep(indec_rep(Q, c), Mg) for c in candidates[:k]):
+                raise OracleError(f"Hom to {g} from a root above it")
+            out[g] = m
     recon = tuple(
         sum(out[g] * g[k] for g in out) for k in range(Q.cd.rank)
     )

@@ -62,10 +62,11 @@ class CartanData:
 
     The fields are the interning key.  Everything else hangs off the
     instance and is computed once: ``edges`` (the unordered adjacency),
-    ``adjacency`` (the neighbours of each vertex), ``cartan`` (the symmetric
-    Cartan matrix), ``eps`` (the parity function: eps_i != eps_j for
-    adjacent i, j), ``h`` (the Coxeter number) and ``star`` (the involution
-    induced by the longest Weyl element).
+    ``adjacency`` (the neighbours of each vertex), ``distance`` (the graph
+    distances), ``cartan`` (the symmetric Cartan matrix), ``eps`` (the
+    parity function: eps_i != eps_j for adjacent i, j), ``h`` (the Coxeter
+    number) and ``star`` (the involution induced by the longest Weyl
+    element).
     """
 
     family: str
@@ -89,16 +90,24 @@ class CartanData:
         )
 
     @cached_property
+    def distance(self) -> tuple[Vec, ...]:
+        """``distance[i - 1][j - 1]``: the number of edges from i to j."""
+        rows = []
+        for s in self.vertices:
+            dist = {s: 0}
+            queue = [s]
+            for u in queue:
+                for w in self.adjacency[u - 1]:
+                    if w not in dist:
+                        dist[w] = dist[u] + 1
+                        queue.append(w)
+            rows.append(tuple(dist[i] for i in self.vertices))
+        return tuple(rows)
+
+    @cached_property
     def eps(self) -> Vec:
         # eps_i = (graph distance from vertex 1 + parity_base) mod 2
-        dist = {1: 0}
-        queue = [1]
-        for u in queue:
-            for w in self.adjacency[u - 1]:
-                if w not in dist:
-                    dist[w] = dist[u] + 1
-                    queue.append(w)
-        return tuple((dist[i] + self.parity_base) % 2 for i in self.vertices)
+        return tuple((d + self.parity_base) % 2 for d in self.distance[0])
 
     @cached_property
     def cartan(self) -> tuple[Vec, ...]:

@@ -153,6 +153,18 @@ def test_module_strip_has_one_object_per_root():
                 assert sorted(strip.values()) == sorted(rs.positive_roots(cd))
 
 
+@pytest.mark.parametrize("family,rank", rs.all_ade_types(8))
+def test_module_strip_is_the_closed_form_strip(family, rank):
+    # the modules of (Q, xi) are the (k, q) with xi_{k*} - h + 2 <= q <= xi_k
+    cd = rs.build_cartan(family, rank)
+    for Q in ar.all_orientations(cd):
+        for t in (0, 4):
+            xi = ar.shift_height(ar.default_height(Q), t)
+            want = {(k, q) for k in cd.vertices
+                    for q in range(xi[k - 1], xi[cd.star_of(k) - 1] - cd.h + 1, -2)}
+            assert set(ar.module_strip(Q, xi)) == want
+
+
 def test_euler_form_examples():
     cd, Q, xi = _a2_setup()
     assert ar.euler_form(Q, (0, 1), (1, 0)) == -1

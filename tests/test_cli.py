@@ -1,10 +1,17 @@
+import contextlib
 import hashlib
+import io
 import json
+import os
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rmx import cli
 from rmx import quantum_cartan as qc
+from rmx import root_system as rs
 
 
 def run_cli(capsys, *argv):
@@ -288,3 +295,102 @@ def test_cli_golden_bytes(capsys, argv):
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_SHA256[argv]
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: every input is answered or rejected with a documented exit code
+
+
+_MALFORMED = st.sampled_from(["", "1", "1,2,3", "a,b", "1;2", "1.5,2", ",", "x>1"])
+_FORMATS = {
+    "ctilde": ("csv", "json", "markdown-table"),
+    "denominator": ("csv", "json", "markdown-table"),
+    "pole-order": ("text", "json"),
+    "irreducible": ("text", "json"),
+    "dorey": ("text", "json"),
+    "export": ("json", "dot"),
+}
+_FAULTS = [None] * 6 + ["type", "rank", "vertex", "quiver", "format", "window", "seed"]
+
+
+@st.composite
+def _command_line(draw):
+    """(argv, RMX_SEED) with at most one part malformed or out of range."""
+    cmd = draw(st.sampled_from(sorted(_FORMATS)))
+    fault = draw(st.sampled_from(_FAULTS))
+    family = "B" if fault == "type" else draw(st.sampled_from("ADE"))
+    low = {"D": 4, "E": 6}.get(family, 1)
+    rank = draw(st.sampled_from([-1, 0, low - 1, 65, 1000]) if fault == "rank"
+                else st.integers(low, 8))
+    n = max(rank, 1)
+
+    def vertex(k):
+        if fault == "vertex":
+            return draw(st.one_of(_MALFORMED, st.builds(
+                "{},{}".format, st.sampled_from([0, n + 1]), st.integers(-9, 9))))
+        # p = i - 1 mod 2 is the parity of every vertex of A_n, most of D, E
+        i = draw(st.integers(1, n))
+        return f"{i},{i - 1 + 2 * k}"
+
+    def quiver():
+        if fault == "quiver":
+            return ["--quiver", draw(_MALFORMED)]
+        try:
+            edges = rs.build_cartan(family, rank).edges
+        except ValueError:
+            return []
+        flips = draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
+        arrows = [f"{v}>{u}" if f else f"{u}>{v}" for (u, v), f in zip(edges, flips)]
+        return draw(st.sampled_from([[], ["--quiver", ",".join(arrows)]]))
+
+    def width(cap):
+        return draw(st.integers(cap + 1, cap + 9) if fault == "window"
+                    else st.integers(0, cap))
+
+    if cmd in ("pole-order", "irreducible", "dorey"):
+        k = draw(st.integers(-2, 8))
+        argv = [cmd, family, str(rank), "--x", vertex(k),
+                "--y", vertex(k + draw(st.integers(0, 8)))]
+        if cmd == "dorey":
+            argv += quiver() + draw(st.sampled_from([[], ["--xi1", "0"], ["--xi1", "6"]]))
+    elif cmd == "export":
+        what = draw(st.sampled_from(["ar-quiver", "gamma", "gamma-j"]))
+        argv = [cmd, what, "--type", family, "--rank", str(rank)]
+        lo = draw(st.integers(-12, 40))
+        if what == "gamma-j":
+            argv += ["--N", str(draw(st.integers(1, n + 1))), "--j-lo", str(lo),
+                     "--j-hi", str(lo + width(cli.MAX_J_WIDTH))]
+        else:
+            argv += ["--p-lo", str(lo), "--p-hi", str(lo + width(cli.MAX_P_WIDTH))]
+        if what != "gamma":
+            argv += quiver()
+    elif cmd == "ctilde":
+        argv = [cmd, "--type", family, "--rank", str(rank)]
+        argv += draw(st.sampled_from([[], ["--order", str(width(cli.MAX_ORDER) or 1)]]))
+    else:
+        argv = [cmd, "--type", family, "--rank", str(rank)]
+        for flag in ("--i", "--j"):
+            argv += [flag, draw(st.sampled_from(["0", str(n + 1), "x", ""])
+                                if fault == "vertex" else st.integers(1, n).map(str))]
+    fmt = draw(st.sampled_from(_FORMATS[cmd])) if fault != "format" else "xml"
+    argv += ["--format", fmt]
+    if fault == "seed":
+        return argv, draw(st.sampled_from(["abc", "1.5", "0x10", "1e3", "--"]))
+    return argv, draw(st.one_of(st.none(), st.integers(-10, 10**20).map(str)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_command_line())
+def test_cli_fuzz_exits_with_a_documented_code(case):
+    argv, seed = case
+    env = {k: v for k, v in os.environ.items() if k != "RMX_SEED"}
+    if seed is not None:
+        env["RMX_SEED"] = seed
+    sink = io.StringIO()
+    with mock.patch.dict(os.environ, env, clear=True), \
+            contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse rejects the command line
+            code = exc.code
+    assert code in (0, 1, 2, 3), (argv, seed, code)

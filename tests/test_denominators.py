@@ -1,3 +1,4 @@
+from collections import Counter
 from functools import lru_cache
 from itertools import product
 
@@ -183,13 +184,10 @@ def _strip_shifts(Q, i, p):
                      if i0 == i and (p - p0) % 2 == 0)
 
 
-def _placements_by_scan(cd, x, y, prefer=None):
+def _placements_by_scan(cd, x, y):
     """Reference: scan each whole strip for the shifts placing x, then y."""
     (i, p), (j, r) = x, y
-    quivers = _orientations(cd)
-    if prefer is not None:
-        quivers = [prefer] + [q for q in quivers if q != prefer]
-    for Q in quivers:
+    for Q in _orientations(cd):
         base = ar.default_height(Q)
         strip = ar.module_strip(Q, base)
         for t in sorted(_strip_shifts(Q, i, p) & _strip_shifts(Q, j, r)):
@@ -202,21 +200,23 @@ def _placements_by_scan(cd, x, y, prefer=None):
     ("D", 4), ("D", 5), ("D", 6), ("E", 6),
 ])
 def test_placements_match_strip_scan(family, rank):
-    # the shifts placing both x and y form an interval, walked from its
-    # least element; the whole-strip scan is the reference, order included.
-    # The pairs take turns between no preferred quiver and each orientation.
+    # the closed form yields every placement the whole-strip scan finds,
+    # each once, and the least height function lo first
     cd = rs.build_cartan(family, rank)
-    prefers = (None,) + _orientations(cd)
     verts = ar.delta_vertices(cd, -cd.h, cd.h)
-    for k, (x, y) in enumerate(product(verts, repeat=2)):
-        prefer = prefers[k % len(prefers)]
-        assert (list(dn._placements(cd, x, y, prefer))
-                == list(_placements_by_scan(cd, x, y, prefer)))
+    for x, y in product(verts, repeat=2):
+        got = list(dn._placements(cd, x, y))
+        counts = Counter(got)
+        assert counts == Counter(_placements_by_scan(cd, x, y)), (x, y)
+        assert len(counts) == len(got)
+        if got:
+            lo = tuple(map(min, zip(*(xi for _, xi, _, _ in got))))
+            assert got[0][1] == lo
 
 
-def test_common_heart_builds_only_the_quivers_it_tries(monkeypatch):
-    # orientations are enumerated lazily: the first one already places both
-    # objects, so it is the only quiver built, not all 2^(n-1)
+@pytest.fixture
+def orient_calls(monkeypatch):
+    """The arrows of each quiver built through ``ar.orient`` from now on."""
     built = []
     orient = ar.orient
 
@@ -225,9 +225,15 @@ def test_common_heart_builds_only_the_quivers_it_tries(monkeypatch):
         return orient(cd, arrows)
 
     monkeypatch.setattr(ar, "orient", counting_orient)
+    return built
+
+
+def test_common_heart_builds_only_the_quivers_it_tries(orient_calls):
+    # the first placement is read off x and y, so it is the only quiver
+    # built, not all 2^(n-1)
     cd = rs.build_cartan("A", 12)
     assert dn.common_heart(cd, (1, 0), (1, 2)) is not None
-    assert len(built) == 1
+    assert len(orient_calls) == 1
 
 
 def test_common_heart_at_rank_40_is_the_monotone_placement():
@@ -253,11 +259,36 @@ def test_dorey_examples():
 
 
 def test_dorey_e7_through_the_oracle():
-    # cold: builds the Hom Gram matrix of all 63 indecomposables of E7
     cd = rs.build_cartan("E", 7)
     Q = ar.monotone_quiver(cd)
     xi = ar.default_height(Q)
     assert dn.dorey_middle_term(cd, Q, xi, (1, 0), (1, 2)) == Monomial.y(2, 1)
+
+
+@pytest.mark.parametrize("family,rank,x,y,want", [
+    ("E", 8, (1, 0), (1, 2), (2, 1)),
+    ("A", 24, (20, 3), (16, 17), (11, 12)),
+    ("A", 40, (1, 0), (1, 2), (2, 1)),
+])
+def test_dorey_at_large_rank_places_the_pair_once(orient_calls, family, rank, x, y, want):
+    # decompose works on the roots below dim R, not on a Hom matrix over all
+    # roots, and the placement is read off x and y: one quiver is built
+    cd = rs.build_cartan(family, rank)
+    Q = ar.monotone_quiver(cd)
+    xi = ar.default_height(Q)
+    orient_calls.clear()
+    assert dn.dorey_middle_term(cd, Q, xi, x, y) == Monomial.y(*want)
+    assert len(orient_calls) == 1
+
+
+@pytest.mark.parametrize("family,rank", rs.all_ade_types(8))
+def test_every_simple_pole_has_a_common_heart(family, rank):
+    # so no Dorey query at r - p != h is left without a placement
+    cd = rs.build_cartan(family, rank)
+    verts = ar.delta_vertices(cd, 0, cd.h)
+    for x, y in product(verts, repeat=2):
+        if y[1] - x[1] != cd.h and dn.pole_order(cd, x, y) == 1:
+            assert dn.common_heart(cd, x, y) is not None, (x, y)
 
 
 def test_dorey_independent_of_placement():

@@ -1,7 +1,11 @@
+import os
 import random
 from collections import Counter
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rmx import ar_quiver as ar
 from rmx import rep_oracle as ro
@@ -103,6 +107,20 @@ def test_decompose_round_trips_random_sums():
         assert ro.decompose(total) == Counter(picks)
 
 
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), type_=st.sampled_from(rs.all_ade_types(6)),
+       orientation=st.integers(0, 2**32), seed=st.integers(-2**63, 2**63))
+def test_decompose_round_trips_on_any_type_orientation_and_seed(
+        data, type_, orientation, seed):
+    cd = rs.build_cartan(*type_)
+    Q = ar.random_orientation(cd, orientation)
+    picks = data.draw(st.lists(st.sampled_from(rs.positive_roots(cd)),
+                               min_size=1, max_size=4))
+    with mock.patch.dict(os.environ, {"RMX_SEED": str(seed)}):
+        total = ro.direct_sum([ro.indec_rep(Q, a) for a in picks])
+        assert ro.decompose(total) == Counter(picks)
+
+
 def test_reflection_functor_examples():
     cd, Q = _a2()
     S1, S2 = ro.simple_rep(Q, 1), ro.simple_rep(Q, 2)
@@ -175,10 +193,8 @@ def test_rep_validation_rejects_bad_shapes():
 def test_seed_override_still_certified(monkeypatch):
     cd, Q = _a2()
     monkeypatch.setenv("RMX_SEED", "12345")
-    ro._indec_cache.clear()
-    ro._gram_cache.clear()
+    ro._indec_rep.cache_clear()
     M = ro.indec_rep(Q, (1, 1))
     assert ro.hom_dim_rep(M, M) == 1
     monkeypatch.delenv("RMX_SEED")
-    ro._indec_cache.clear()
-    ro._gram_cache.clear()
+    ro._indec_rep.cache_clear()
