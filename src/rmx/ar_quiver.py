@@ -222,7 +222,13 @@ def happel_object(Q: DynkinQuiver, xi: tuple[int, ...], x: DeltaVertex) -> Indec
     steps = xi[i - 1] - p
     if steps % 2 != 0:
         raise ValueError(f"xi_{i} - p must be even, got {steps}")
-    periods, s = divmod(steps // 2, Q.cd.h)
+    return _happel_object(Q, xi, x)
+
+
+def _happel_object(Q: DynkinQuiver, xi: tuple[int, ...], x: DeltaVertex) -> IndecObject:
+    """``happel_object`` unchecked: xi must fit Q and x be parity-valid."""
+    i, p = x
+    periods, s = divmod((xi[i - 1] - p) // 2, Q.cd.h)
     root, shift = _tau_orbits(Q)[i - 1][s]
     return IndecObject(root, shift - 2 * periods)
 

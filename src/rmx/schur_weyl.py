@@ -4,11 +4,12 @@ orbit bookkeeping for the monotone A-infinity quiver."""
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
+from typing import Iterator
 
 from rmx import ar_quiver as ar
+from rmx import quantum_cartan as qc
 from rmx import root_system as rs
 from rmx.ar_quiver import DeltaVertex, DynkinQuiver, IndecObject
 from rmx.denominators import Monomial
@@ -63,49 +64,53 @@ class FamilyMap:
         return self.image[j - self.j_lo]
 
 
-def _arrow_mult(cd: CartanData, u: DeltaVertex, v: DeltaVertex) -> int:
-    # arrows u -> v counted by dim Ext^1 out of the object at u into the
-    # object at v, so they strictly decrease the height coordinate
-    return ar.ext1_dim(cd, v, u)
+def _ext_poles(cd: CartanData) -> list[list[list[tuple[int, int]]]]:
+    """poles[i-1][j-1]: the nonzero (l, ct_ji(l)), 1 <= l <= h - 1, by
+    descending l.  Each is an arrow (i, r) -> (j, r - l - 1) of the Ext quiver,
+    by ascending target height; ct_ji(l) != 0 forces the target's parity."""
+    values = qc.ctilde_table(cd, 2 * cd.h).values
+    ls = range(cd.h - 1, 0, -1)
+    return [[[(l, values[l - 1][j][i]) for l in ls if values[l - 1][j][i]]
+             for j in range(cd.rank)] for i in range(cd.rank)]
+
+
+def gamma_arrows(cd: CartanData, p_lo: int, p_hi: int
+                 ) -> Iterator[tuple[DeltaVertex, DeltaVertex, int]]:
+    """The arrows (u, v, m) of the Ext quiver on heights p_lo..p_hi, lazily,
+    by source, then by target, both in ``delta_vertices`` order.  They are read
+    off the ct table once per vertex pair, by ``_ext_poles``."""
+    poles = _ext_poles(cd)
+    for u in ar.delta_vertices(cd, p_lo, p_hi):
+        i, r = u
+        for j, pairs in enumerate(poles[i - 1], 1):
+            for l, m in pairs:
+                if r - l - 1 >= p_lo:
+                    yield u, (j, r - l - 1), m
 
 
 def gamma_window(cd: CartanData, p_lo: int, p_hi: int) -> GammaWindow:
     """The Ext quiver restricted to heights p_lo..p_hi.
 
-    Arrows are listed by source, then by target, both in vertex order.  An
-    arrow u -> v needs 2 <= (height of u) - (height of v) <= h, so only the
-    targets in that window of a source are tried.
+    The arrows are those of ``gamma_arrows``: pole orders ct_ji(l),
+    1 <= l <= h - 1, of the denominator formula, read off the ct table.
     """
-    if p_lo > p_hi:
-        return GammaWindow(vertices=(), arrows=())
-    verts = tuple(ar.delta_vertices(cd, p_lo, p_hi))
-    # delta_vertices orders by vertex, then by height
-    by_vertex = [[v for v in verts if v[0] == i] for i in cd.vertices]
-    heights = [[p for _, p in row] for row in by_vertex]
-    arrows = []
-    for u in verts:
-        r = u[1]
-        for row, ps in zip(by_vertex, heights):
-            lo = bisect_left(ps, r - cd.h)
-            hi = bisect_right(ps, r - 2)
-            for v in row[lo:hi]:
-                m = _arrow_mult(cd, u, v)
-                if m:
-                    arrows.append((u, v, m))
-    return GammaWindow(vertices=verts, arrows=tuple(arrows))
+    return GammaWindow(vertices=tuple(ar.delta_vertices(cd, p_lo, p_hi)),
+                       arrows=tuple(gamma_arrows(cd, p_lo, p_hi)))
 
 
 def gamma_J(cd: CartanData, fam: FamilyMap) -> GammaWindow:
-    """Full subquiver on the family image, re-indexed by the domain."""
+    """Full subquiver on the family image, re-indexed by the domain.  Its
+    arrows are read off the per-pair ct lists of ``gamma_arrows`` through the
+    map from image vertex to domain index, by source, then by target."""
+    for v in fam.image:
+        ar.check_delta_vertex(cd, v)
+    poles = _ext_poles(cd)
+    index = dict(zip(fam.image, fam.domain))
     arrows = []
-    for j in fam.domain:
-        for jp in fam.domain:
-            u, v = fam.of(j), fam.of(jp)
-            if not 2 <= u[1] - v[1] <= cd.h:
-                continue  # outside the height window the Ext group vanishes
-            m = _arrow_mult(cd, u, v)
-            if m:
-                arrows.append((j, jp, m))
+    for j, (i, r) in zip(fam.domain, fam.image):
+        arrows += sorted((j, index[k, r - l - 1], m)
+                         for k, pairs in enumerate(poles[i - 1], 1)
+                         for l, m in pairs if (k, r - l - 1) in index)
     return GammaWindow(vertices=tuple(fam.domain), arrows=tuple(arrows))
 
 

@@ -287,6 +287,16 @@ GOLDEN_SHA256 = {
     ("export", "gamma-j", "--type", "E", "--rank", "6", "--N", "5",
      "--j-lo", "-6", "--j-hi", "6"):
         "8591858e1e00d967381feccca5b7b0b627ce6783b289dc0e8549d16664ab1500",
+    # the benchmark's own exports, taken before the graph exports streamed
+    ("export", "gamma", "--type", "A", "--rank", "32", "--p-lo", "0", "--p-hi", "33"):
+        "436008ab13ddc96358db285717763d40aab30d84dadc926723d9d9bbc38a08b8",
+    ("export", "gamma", "--type", "D", "--rank", "20", "--p-lo", "0", "--p-hi", "38"):
+        "90b3e394cf1a61281bdb35b289beb62f03d143ccf453db83c226c5c0b21bc9d5",
+    ("export", "ar-quiver", "--type", "A", "--rank", "32", "--p-lo", "-16", "--p-hi", "16"):
+        "1041f381c993132340af1fb50ef4e09637aa73ad790cb3b824574d40400bcbb3",
+    ("export", "gamma", "--type", "E", "--rank", "7", "--p-lo", "-18", "--p-hi", "18",
+     "--format", "dot"):
+        "84a5ba1b1fed15d76e8548ac8f7b4526916aa6e2e4e2ff6f4dda939d308137b0",
 }
 
 
@@ -295,6 +305,24 @@ def test_cli_golden_bytes(capsys, argv):
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_SHA256[argv]
+
+
+@pytest.mark.parametrize("vertices,arrows,attrs", [
+    ((), (), None),
+    (((1, 0), (2, -1)), (), None),
+    (((1, 2), (1, 0), (2, -1)), (((1, 2), (1, 0), 1), ((1, 2), (2, -1), 2)), None),
+    ((3, 4, 5), ((3, 4, 1), (4, 5, 1)), None),
+    (((1, 0),), (), {(1, 0): {"i": 1, "p": 0, "root": "1,0", "shift": -1}}),
+])
+def test_streamed_json_graph_is_json_dumps(vertices, arrows, attrs):
+    # the streamed writer prints exactly json.dumps of the whole payload
+    payload = {
+        "arrows": [{"from": cli._vkey(u), "to": cli._vkey(v), "mult": m}
+                   for u, v, m in arrows],
+        "vertices": [attrs[v] if attrs else cli._vkey(v) for v in vertices],
+    }
+    chunks = cli._json_graph(vertices, iter(arrows), attrs)
+    assert "".join(chunks) == cli._emit_json(payload)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,8 @@
+from itertools import product
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rmx import ar_quiver as ar
 from rmx import denominators as dn
@@ -22,21 +26,88 @@ def test_gamma_window_a2():
     }
 
 
+def _all_pairs_arrows(cd, verts):
+    """The reference Ext quiver: every ordered pair through ``ext1_dim``."""
+    return tuple(
+        (u, v, ar.ext1_dim(cd, v, u))
+        for u in verts for v in verts if ar.ext1_dim(cd, v, u)
+    )
+
+
+def _all_pairs_gamma_J(cd, fam):
+    return tuple(
+        (j, jp, m) for j, jp in product(fam.domain, repeat=2)
+        if (m := ar.ext1_dim(cd, fam.of(jp), fam.of(j)))
+    )
+
+
 @pytest.mark.parametrize("family,rank,p_lo,p_hi", [
     ("A", 5, -3, 9), ("D", 5, 0, 8), ("E", 6, -13, 14), ("A", 1, 2, 2),
 ])
 def test_gamma_window_matches_all_pairs(family, rank, p_lo, p_hi):
-    # the height window skips only pairs whose Ext group vanishes, and the
-    # arrows keep the all-pairs order
+    # the arrows read off the ct table are the all-pairs Ext quiver, in the
+    # all-pairs order
     cd = rs.build_cartan(family, rank)
     verts = ar.delta_vertices(cd, p_lo, p_hi)
-    expected = tuple(
-        (u, v, ar.ext1_dim(cd, v, u))
-        for u in verts for v in verts if ar.ext1_dim(cd, v, u)
-    )
     win = sw.gamma_window(cd, p_lo, p_hi)
     assert win.vertices == tuple(verts)
-    assert win.arrows == expected
+    assert win.arrows == _all_pairs_arrows(cd, verts)
+
+
+_GAMMA_TYPES = rs.all_ade_types(8) + [("A", 32), ("D", 20)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(_GAMMA_TYPES), st.integers(-80, 80), st.integers(-1, 64))
+def test_gamma_arrows_match_all_pairs(ty, p_lo, width):
+    # width -1 is an empty window (p_lo > p_hi), width 0 a single height
+    cd = rs.build_cartan(*ty)
+    p_hi = p_lo + width
+    expected = _all_pairs_arrows(cd, ar.delta_vertices(cd, p_lo, p_hi))
+    assert tuple(sw.gamma_arrows(cd, p_lo, p_hi)) == expected
+    assert sw.gamma_window(cd, p_lo, p_hi).arrows == expected
+
+
+def _family_sizes(family, rank):
+    """The N for which vertices 1..N-1 carry a type-A family."""
+    cd = rs.build_cartan(family, rank)
+    Q = ar.monotone_quiver(cd)
+    out = []
+    for N in range(2, rank + 2):
+        try:
+            sw._check_type_a_subquiver(Q, N)
+        except ValueError:
+            continue
+        out.append(N)
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(_GAMMA_TYPES), st.data())
+def test_gamma_j_matches_all_pairs(ty, data):
+    cd = rs.build_cartan(*ty)
+    Q = ar.monotone_quiver(cd)
+    N = data.draw(st.sampled_from(_family_sizes(*ty)))
+    xi1 = cd.eps_of(1) + 2 * data.draw(st.integers(-20, 20))
+    j_lo = data.draw(st.integers(-60, 60))
+    j_hi = j_lo + data.draw(st.integers(0, 40))
+    fam = sw.type_a_family(cd, Q, ar.default_height(Q, xi1), N, j_lo, j_hi)
+    if data.draw(st.booleans()):
+        # any injective map: a source then has several targets, out of
+        # domain order, where a type-A family has one
+        verts = ar.delta_vertices(cd, xi1 - cd.h, xi1)
+        image = data.draw(st.permutations(verts))[:len(fam.domain)]
+        fam = sw.FamilyMap(j_lo, j_lo + len(image) - 1, tuple(image))
+    gj = sw.gamma_J(cd, fam)
+    assert gj.vertices == tuple(fam.domain)
+    assert gj.arrows == _all_pairs_gamma_J(cd, fam)
+
+
+def test_gamma_j_rejects_invalid_image():
+    cd = rs.build_cartan("A", 2)
+    for bad in ((1, 1), (3, 0), (0, 0)):
+        with pytest.raises(ValueError):
+            sw.gamma_J(cd, sw.FamilyMap(j_lo=0, j_hi=1, image=((1, 4), bad)))
 
 
 @pytest.mark.parametrize("family,rank", rs.all_ade_types(8) + [("A", 20), ("D", 12)])
