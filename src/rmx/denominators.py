@@ -9,10 +9,8 @@ the same integer table, cross-checkable through explicit representations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from rmx import ar_quiver as ar
-from rmx import linalg as la
 from rmx import quantum_cartan as qc
 from rmx import rep_oracle as ro
 from rmx.ar_quiver import DeltaVertex, DynkinQuiver, IndecObject
@@ -134,40 +132,24 @@ def a_monomial(cd: CartanData, i: int, p: int) -> Monomial:
 def monomial_leq(cd: CartanData, m: Monomial, m2: Monomial) -> bool:
     """Whether m2 / m is a product of A-monomials with nonnegative exponents.
 
-    Any A appearing with p outside (min_p, max_p) of the support of the ratio
-    would leave an uncancelled Y at the boundary, so the unknowns live on a
-    finite grid window and the system is exact and overdetermined.
+    Y[i,q] occurs in A[i,q-1] and otherwise only in A's at heights q and
+    q+1, so the exponents are read off from the top down: the exponent of
+    A[i,q-1] is what is left of Y[i,q] once the A's above are divided out.
+    An A outside the heights strictly inside the support of the ratio would
+    leave an uncancelled Y at its boundary, and the exponents found are the
+    only candidate: the ratio is such a product exactly when nothing is left.
     """
-    ratio = m2 * m.inv()
-    if not ratio.exps:
-        return True
-    ps = [p for (_, p), _ in ratio.exps]
-    p_lo, p_hi = min(ps), max(ps)
-    unknowns = [
-        (i, p) for i in cd.vertices for p in range(p_lo + 1, p_hi)
-    ]
-    if not unknowns:
-        return False
-    rows_idx = [(i, p) for i in cd.vertices for p in range(p_lo, p_hi + 1)]
-    row_pos = {k: t for t, k in enumerate(rows_idx)}
-    mat = [[0] * len(unknowns) for _ in rows_idx]
-    for col, (i, p) in enumerate(unknowns):
-        for key, e in a_monomial(cd, i, p).exps:
-            mat[row_pos[key]][col] += e
-    target = [Fraction(ratio.as_dict().get(k, 0)) for k in rows_idx]
-    sol = la.solve(mat, target, len(unknowns))
-    if sol is None:
-        return False
-    # the A-exponent vectors are linearly independent, so this solution is
-    # the only candidate; verify it reproduces the ratio exactly
-    if any(v.denominator != 1 or v < 0 for v in sol):
-        return False
-    rebuilt = Monomial.unit()
-    for (i, p), v in zip(unknowns, sol):
-        if v:
-            d = {k: e * int(v) for k, e in a_monomial(cd, i, p).exps}
-            rebuilt = rebuilt * Monomial.from_dict(d)
-    return rebuilt == ratio
+    rest = (m2 * m.inv()).as_dict()
+    ps = [p for _, p in rest]
+    for q in range(max(ps, default=0), min(ps, default=0) + 1, -1):
+        for i in cd.vertices:
+            e = rest.get((i, q), 0)
+            if e < 0:
+                return False
+            if e:
+                for key, a in a_monomial(cd, i, q - 1).exps:
+                    rest[key] = rest.get(key, 0) - e * a
+    return not any(rest.values())
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +200,8 @@ def dorey_middle_term(cd: CartanData, Q: DynkinQuiver, xi, x: DeltaVertex,
     """Middle-term monomial of the non-split triangle at a simple pole.
 
     Builds the extension of the two modules in a common heart explicitly and
-    reads the Krull-Schmidt summands back through the (i, p) bijection.  At
+    reads the Krull-Schmidt summands back through the (i, p) bijection; they
+    lie strictly between x and y, so only those roots are decomposed for.  At
     column distance exactly h the quotient object is the shift of the sub
     (forced by ct_ij(h-1) = delta_{j,i*}) and the middle term vanishes.
     (Q, xi) is validated but does not change the answer.  Every other simple
@@ -239,7 +222,12 @@ def dorey_middle_term(cd: CartanData, Q: DynkinQuiver, xi, x: DeltaVertex,
         Mx = ro.indec_rep(Qp, root_x)
         My = ro.indec_rep(Qp, root_y)
         middle = ro.nonsplit_extension(Mx, My)
-        parts = ro.decompose(middle)
+        # heights of one connected quiver differ by a constant; decompose
+        # reads them at default_height, where x and y sit at p - c and r - c
+        shift = {a - b for a, b in zip(xi_t, ar.default_height(Qp))}
+        assert len(shift) == 1, "height functions of Q differ by a constant"
+        (c,) = shift
+        parts = ro.decompose(middle, between=(p - c, r - c))
         mono = Monomial.unit()
         for delta, mult in sorted(parts.items()):
             w = ar.happel_inverse(Qp, xi_t, IndecObject(delta, 0))

@@ -81,8 +81,14 @@ def ctilde_coxeter(cd, Q, xi, i: int, j: int, l: int) -> int:
     c^k(gamma_i), k = (l + xi_i - xi_j - 1)/2, with the fundamental weight
     w_j.  That vector is tau^k(I_i) read off the knitting table, negated
     when the shift is odd; tau^h adds the even shift -2, so k mod h is
-    enough.  Independent of the choice of (Q, xi).
+    enough.  Independent of the choice of (Q, xi); xi must fit Q.
     """
+    ar.check_height(Q, xi)
+    return _ctilde_coxeter(cd, Q, xi, i, j, l)
+
+
+def _ctilde_coxeter(cd, Q, xi, i: int, j: int, l: int) -> int:
+    """``ctilde_coxeter`` unchecked: xi must be a height function of Q."""
     if l < 1:
         raise ValueError("l must be >= 1")
     if (l + cd.eps_of(i) + cd.eps_of(j) + 1) % 2 == 1:

@@ -1,10 +1,13 @@
 """Brute-force ground truth: explicit quiver representations over Q.
 
 Representations carry exact rational matrices; Hom and Ext^1 come from the
-intertwining linear system, indecomposables are built randomly and certified
-by dim End = 1 (with a reflection-functor construction as deterministic
-fallback), and Krull-Schmidt decomposition is recovered from a unitriangular
-system of Hom counts over the roots at most dim R.
+intertwining linear system, whose kernel vectors are certified as integer
+intertwiners.  Indecomposables are tree modules with 0/1 matrices, built as
+nonsplit extensions of smaller ones and certified by dim End = 1 (every
+exceptional module is a tree module: Ringel 1998).  Krull-Schmidt
+decomposition is recovered from a unitriangular system of Hom counts over
+the roots at most dim R; for the middle term of a nonsplit extension of
+indecomposables, only the roots strictly between them in the AR quiver.
 
 Floating point is deliberately impossible here: every matrix entry is an int
 or Fraction and every rank decision is exact.
@@ -12,7 +15,6 @@ or Fraction and every rank decision is exact.
 
 from __future__ import annotations
 
-import hashlib
 import os
 import random
 from collections import Counter
@@ -63,10 +65,14 @@ class QuiverRep:
 
 @dataclass
 class HomBasis:
-    """A verified basis of the intertwiner space Hom(M, N)."""
+    """A verified basis of the intertwiner space Hom(M, N).
+
+    Each basis map is a primitive integer vector of the kernel (its entries
+    coprime ints), checked to intertwine on every arrow in int arithmetic.
+    """
 
     dimension: int
-    basis: list[dict]  # vertex -> matrix (list of rows)
+    basis: list[dict]  # vertex -> integer matrix (list of rows)
 
 
 def zero_rep(Q: DynkinQuiver) -> QuiverRep:
@@ -100,22 +106,14 @@ def direct_sum(reps: list[QuiverRep]) -> QuiverRep:
     Q = reps[0].Q
     if any(r.Q != Q for r in reps):
         raise ValueError("summands live over different quivers")
-    n = Q.cd.rank
-    dims = tuple(sum(r.dims[k] for r in reps) for k in range(n))
+    dims = tuple(map(sum, zip(*(r.dims for r in reps))))
     mats = {}
     for a in Q.arrows:
-        u, v = a
-        rows = []
-        coffs = []
-        c = 0
+        rows, before, width = [], 0, dims[a[0] - 1]
         for r in reps:
-            coffs.append(c)
-            c += r.dims[u - 1]
-        for r, coff in zip(reps, coffs):
-            for row in r.mats[a]:
-                full = [0] * dims[u - 1]
-                full[coff:coff + r.dims[u - 1]] = list(row)
-                rows.append(full)
+            after = width - before - r.dims[a[0] - 1]
+            rows += [[0] * before + list(row) + [0] * after for row in r.mats[a]]
+            before += r.dims[a[0] - 1]
         mats[a] = rows
     return QuiverRep(Q, dims, mats)
 
@@ -161,15 +159,14 @@ def _intertwiner_matrix(M: QuiverRep, N: QuiverRep):
 
 
 def hom_basis(M: QuiverRep, N: QuiverRep) -> HomBasis:
-    """Verified basis of the solution space of the intertwining system."""
+    """Verified integer basis of the solution space of the intertwining system."""
     if M.Q != N.Q:
         raise ValueError("representations live over different quivers")
     Q = M.Q
     n = Q.cd.rank
     rows, ncols, col_off, _ = _intertwiner_matrix(M, N)
-    kernel = la.nullspace(rows, ncols)
     basis = []
-    for vec in kernel:
+    for vec in map(la._primitive_row, la.nullspace(rows, ncols)):
         f = {}
         for v in range(1, n + 1):
             nv, mv = N.dims[v - 1], M.dims[v - 1]
@@ -213,11 +210,6 @@ def ext1_dim_rep(M: QuiverRep, N: QuiverRep) -> int:
 # indecomposables
 
 
-def _stable_seed(*parts) -> int:
-    digest = hashlib.sha256(repr(parts).encode()).digest()
-    return int.from_bytes(digest[:8], "big")
-
-
 def base_seed() -> int:
     env = os.environ.get("RMX_SEED")
     return int(env) if env else 0
@@ -226,9 +218,11 @@ def base_seed() -> int:
 def indec_rep(Q: DynkinQuiver, alpha: Vec) -> QuiverRep:
     """The indecomposable representation with dimension vector alpha.
 
-    Deterministic random integer matrices, certified by dim End = 1 and
-    retried up to 20 times; falls back to building tau-translates of an
-    injective through reflection functors.
+    A tree module with 0/1 matrices: the simple S_i at a simple root, else
+    the nonsplit extension of two smaller tree modules M_beta, M_gamma over
+    a split alpha = beta + gamma into positive roots, certified by
+    dim End = 1.  RMX_SEED only shuffles the order in which the splits are
+    tried (seed 0 keeps it fixed), so it changes bases, never answers.
     """
     if not rs.is_positive_root(Q.cd, alpha):
         raise ValueError(f"{alpha} is not a positive root")
@@ -237,42 +231,30 @@ def indec_rep(Q: DynkinQuiver, alpha: Vec) -> QuiverRep:
 
 @lru_cache(maxsize=None)
 def _indec_rep(Q: DynkinQuiver, alpha: Vec, seed: int) -> QuiverRep:
-    for attempt in range(20):
-        cand = _random_rep(Q, alpha, _stable_seed(seed, Q.arrows, alpha, attempt))
-        if hom_dim_rep(cand, cand) == 1:
-            return cand
-    rep = _indec_rep_bgp(Q, alpha)
-    if hom_dim_rep(rep, rep) != 1:
-        raise OracleError(f"reflection construction failed End certificate for {alpha}")
-    return rep
+    """``indec_rep`` for a positive root, its splits tried in seeded order.
 
-
-def _random_rep(Q: DynkinQuiver, dims: Vec, seed: int) -> QuiverRep:
-    rng = random.Random(seed)
-    mats = {}
-    for u, v in Q.arrows:
-        mats[(u, v)] = [
-            [rng.randint(1, 9) for _ in range(dims[u - 1])]
-            for _ in range(dims[v - 1])
-        ]
-    return QuiverRep(Q, dims, mats)
-
-
-def _indec_rep_bgp(Q: DynkinQuiver, alpha: Vec) -> QuiverRep:
-    """Build M_alpha as tau^s(I_i) via sink-ordered reflection functors."""
-    xi = ar.default_height(Q)
-    i, p = ar.happel_inverse(Q, xi, IndecObject(alpha, 0))
-    steps = (xi[i - 1] - p) // 2
-    assert steps >= 0
-    rep = injective_rep(Q, i)
-    order = tuple(sorted(Q.cd.vertices, key=lambda v: (xi[v - 1], v)))
-    for _ in range(steps):
-        for v in order:
-            rep = reflection_functor(rep.Q, v, rep)
-        assert rep.Q == Q
-    if rep.dims != alpha:
-        raise OracleError(f"tau walk landed on {rep.dims}, wanted {alpha}")
-    return rep
+    Hom and Ext^1 between indecomposables of a Dynkin quiver are never both
+    nonzero, so Ext^1(M_gamma, M_beta) = 1 exactly when the Euler form
+    <gamma, beta> is -1; ``nonsplit_extension`` certifies it again.
+    """
+    if sum(alpha) == 1:
+        return simple_rep(Q, alpha.index(1) + 1)
+    splits = []
+    for beta in rs.positive_roots(Q.cd):
+        gamma = tuple(a - b for a, b in zip(alpha, beta))
+        if beta < gamma and rs.is_positive_root(Q.cd, gamma):
+            splits.append((beta, gamma))
+    if seed:
+        random.Random(seed).shuffle(splits)
+    for beta, gamma in splits:
+        for sub, quot in ((beta, gamma), (gamma, beta)):
+            if ar.euler_form(Q, quot, sub) != -1:
+                continue
+            rep = nonsplit_extension(_indec_rep(Q, sub, seed),
+                                     _indec_rep(Q, quot, seed))
+            if hom_dim_rep(rep, rep) == 1:
+                return rep
+    raise OracleError(f"no split of {alpha} extends to an indecomposable")
 
 
 def reflection_functor(Q: DynkinQuiver, i: int, R: QuiverRep) -> QuiverRep:
@@ -362,40 +344,27 @@ def nonsplit_extension(Msub: QuiverRep, Mquot: QuiverRep) -> QuiverRep:
     coker = la.nullspace(transpose, nrows)
     if len(coker) != 1:
         raise ValueError(f"Ext^1(quotient, sub) = {len(coker)}, need exactly 1")
-    cocycle_flat = next(k for k, yk in enumerate(coker[0]) if yk)
-    # unpack the chosen unit cocycle into per-arrow blocks
-    cocycle = {}
-    idx = 0
-    for a in arrows:
-        u, w = a
-        block = [[0] * Mquot.dims[u - 1] for _ in range(Msub.dims[w - 1])]
-        for rho in range(Msub.dims[w - 1]):
-            for sig in range(Mquot.dims[u - 1]):
-                if idx == cocycle_flat:
-                    block[rho][sig] = 1
-                idx += 1
-        cocycle[a] = block
-
-    dims = tuple(s + q for s, q in zip(Msub.dims, Mquot.dims))
+    k = next(k for k, yk in enumerate(coker[0]) if yk)
+    # row k of Phi is entry (rho, sig) of the block of one arrow u -> w
+    for cocycle_arrow in arrows:
+        u, w = cocycle_arrow
+        if k < Msub.dims[w - 1] * Mquot.dims[u - 1]:
+            rho, sig = divmod(k, Mquot.dims[u - 1])
+            break
+        k -= Msub.dims[w - 1] * Mquot.dims[u - 1]
     mats = {}
     for a in Q.arrows:
-        u, w = a
-        su, qu = Msub.dims[u - 1], Mquot.dims[u - 1]
-        sw, qw = Msub.dims[w - 1], Mquot.dims[w - 1]
-        block = [[0] * (su + qu) for _ in range(sw + qw)]
-        for r in range(sw):
-            for c in range(su):
-                block[r][c] = Msub.mats[a][r][c]
-            for c in range(qu):
-                block[r][su + c] = cocycle[a][r][c]
-        for r in range(qw):
-            for c in range(qu):
-                block[sw + r][su + c] = Mquot.mats[a][r][c]
+        su, qu = Msub.dims[a[0] - 1], Mquot.dims[a[0] - 1]
+        block = [list(row) + [0] * qu for row in Msub.mats[a]]
+        block += [[0] * su + list(row) for row in Mquot.mats[a]]
+        if a == cocycle_arrow:
+            block[rho][su + sig] = 1
         mats[a] = block
+    dims = tuple(s + q for s, q in zip(Msub.dims, Mquot.dims))
     return QuiverRep(Q, dims, mats)
 
 
-def decompose(R: QuiverRep) -> Counter:
+def decompose(R: QuiverRep, between: tuple[int, int] | None = None) -> Counter:
     """The multiset of roots with R isomorphic to the matching direct sum.
 
     The Hom counts hom(M_g, R) = sum_d hom(M_g, M_d) mu_d pin R down.  Only
@@ -403,12 +372,27 @@ def decompose(R: QuiverRep) -> Counter:
     d strictly higher in the AR quiver: the system is unitriangular, solved
     from the top down in integers, and each equation is certified by
     hom(M_g, M_d) = 0 for every summand d below g.
+
+    ``between = (lo, hi)`` keeps only the roots whose Happel height at
+    ``default_height(Q)`` lies strictly between lo and hi.  That is safe for
+    the middle term E of a nonsplit 0 -> X -> E -> Y -> 0 with X and Y
+    indecomposable at heights lo and hi.  Write E = Z + E' with Z
+    indecomposable.  If X -> E has zero component in Z, then X lies in E',
+    Y = Z + E'/X forces E' = X and the sequence splits; so Hom(X, Z) != 0,
+    and dually Hom(Z, Y) != 0.  Z = X or Z = Y would make that map an
+    isomorphism (End = k) and split the sequence too.  Nonzero maps between
+    distinct indecomposables climb the AR quiver, so Z lies strictly between
+    X and Y.
     """
     Q = R.Q
     xi = ar.default_height(Q)
-    candidates = sorted(
-        (g for g in rs.positive_roots(Q.cd) if all(a <= b for a, b in zip(g, R.dims))),
-        key=lambda g: -ar.happel_inverse(Q, xi, IndecObject(g, 0))[1])
+    height = {g: ar.happel_inverse(Q, xi, IndecObject(g, 0))[1]
+              for g in rs.positive_roots(Q.cd)
+              if all(a <= b for a, b in zip(g, R.dims))}
+    if between is not None:
+        lo, hi = between
+        height = {g: p for g, p in height.items() if lo < p < hi}
+    candidates = sorted(height, key=lambda g: -height[g])
     out: Counter = Counter()
     for k, g in enumerate(candidates):
         Mg = indec_rep(Q, g)

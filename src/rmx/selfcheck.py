@@ -51,7 +51,7 @@ def check_ctilde_dual_method(max_rank: int = 8):
                     for j in cd.vertices:
                         for l in range(1, 2 * cd.h + 1):
                             a = table.value(i, j, l)
-                            b = qc.ctilde_coxeter(cd, Q, xi, i, j, l)
+                            b = qc._ctilde_coxeter(cd, Q, xi, i, j, l)
                             if a != b:
                                 mismatches.append((cd.label(), parity, Q.label(), i, j, l, a, b))
     detail = f"{len(mismatches)} mismatches" + (f", first: {mismatches[0]}" if mismatches else "")

@@ -1,12 +1,17 @@
+import random
 from collections import Counter
 from functools import lru_cache
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rmx import ar_quiver as ar
 from rmx import denominators as dn
+from rmx import linalg as la
 from rmx import quantum_cartan as qc
+from rmx import rep_oracle as ro
 from rmx import root_system as rs
 from rmx.ar_quiver import IndecObject
 from rmx.denominators import Monomial
@@ -169,6 +174,47 @@ def test_monomial_leq_examples():
     # a square of a single A-monomial (tests integrality handling)
     sq = dn.a_monomial(cd, 1, 0) * dn.a_monomial(cd, 1, 0)
     assert dn.monomial_leq(cd, Monomial.unit(), sq)
+
+
+def _monomial_leq_by_elimination(cd, m, m2):
+    """Reference: solve for the A-exponents on the whole grid window."""
+    ratio = m2 * m.inv()
+    if not ratio.exps:
+        return True
+    ps = [p for (_, p), _ in ratio.exps]
+    p_lo, p_hi = min(ps), max(ps)
+    unknowns = [(i, p) for i in cd.vertices for p in range(p_lo + 1, p_hi)]
+    if not unknowns:
+        return False
+    rows_idx = [(i, p) for i in cd.vertices for p in range(p_lo, p_hi + 1)]
+    row_pos = {k: t for t, k in enumerate(rows_idx)}
+    mat = [[0] * len(unknowns) for _ in rows_idx]
+    for col, (i, p) in enumerate(unknowns):
+        for key, e in dn.a_monomial(cd, i, p).exps:
+            mat[row_pos[key]][col] += e
+    target = [ratio.as_dict().get(k, 0) for k in rows_idx]
+    sol = la.solve(mat, target, len(unknowns))
+    return sol is not None and all(v.denominator == 1 and v >= 0 for v in sol)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), type_=st.sampled_from(rs.all_ade_types(8)))
+def test_monomial_leq_matches_elimination(data, type_):
+    cd = rs.build_cartan(*type_)
+    vertex = st.sampled_from(cd.vertices)
+    height = st.integers(-6, 6)
+    m = Monomial.unit()
+    for i, p, e in data.draw(st.lists(st.tuples(vertex, height, st.integers(-2, 2)),
+                                      max_size=4)):
+        m = m * Monomial.y(i, p, e)
+    m2 = m
+    for i, p, e in data.draw(st.lists(st.tuples(vertex, height, st.integers(-1, 2)),
+                                      max_size=5)):
+        m2 = m2 * Monomial.from_dict({k: e * v for k, v in dn.a_monomial(cd, i, p).exps})
+    if data.draw(st.booleans()):
+        m2 = m2 * Monomial.y(data.draw(vertex), data.draw(height))
+    assert dn.monomial_leq(cd, m, m2) == _monomial_leq_by_elimination(cd, m, m2)
+    assert dn.monomial_leq(cd, m2, m) == _monomial_leq_by_elimination(cd, m2, m)
 
 
 @lru_cache(maxsize=None)
@@ -345,3 +391,45 @@ def test_dorey_distance_h_is_always_empty():
             y = (cd.star_of(i), p + cd.h)
             if dn.pole_order(cd, x, y) == 1:
                 assert dn.dorey_middle_term(cd, Q, xi, x, y) == Monomial.unit()
+
+
+def _simple_pole_pairs(cd):
+    """Simple-pole pairs with x at heights 0-1 and a nonempty middle term."""
+    return [(x, y) for x in ar.delta_vertices(cd, 0, 1)
+            for y in ar.delta_vertices(cd, 0, cd.h + 1)
+            if y[1] - x[1] != cd.h and dn.pole_order(cd, x, y) == 1]
+
+
+def _window_keeps_every_summand(cd, x, y):
+    Q, xi, root_x, root_y = dn.common_heart(cd, x, y)
+    middle = ro.nonsplit_extension(ro.indec_rep(Q, root_x), ro.indec_rep(Q, root_y))
+    c = xi[0] - ar.default_height(Q)[0]
+    return ro.decompose(middle, between=(x[1] - c, y[1] - c)) == ro.decompose(middle)
+
+
+@pytest.mark.parametrize("family,rank", rs.all_ade_types(6))
+def test_dorey_window_keeps_every_summand(family, rank):
+    cd = rs.build_cartan(family, rank)
+    for x, y in _simple_pole_pairs(cd):
+        assert _window_keeps_every_summand(cd, x, y), (x, y)
+
+
+@pytest.mark.parametrize("rank", [7, 8])
+def test_dorey_window_keeps_every_summand_sampled_e(rank):
+    cd = rs.build_cartan("E", rank)
+    for x, y in random.Random(rank).sample(_simple_pole_pairs(cd), 40):
+        assert _window_keeps_every_summand(cd, x, y), (x, y)
+
+
+def test_dorey_answers_do_not_depend_on_the_seed(monkeypatch):
+    answers = []
+    for seed in ("0", "1", "12345"):
+        monkeypatch.setenv("RMX_SEED", seed)
+        answers.append([])
+        for label in ("A4", "D5", "E6"):
+            cd = rs.build_cartan(label[0], int(label[1]))
+            Q = ar.monotone_quiver(cd)
+            xi = ar.default_height(Q)
+            answers[-1] += [dn.dorey_middle_term(cd, Q, xi, x, y)
+                            for x, y in _simple_pole_pairs(cd)]
+    assert answers[0] == answers[1] == answers[2]

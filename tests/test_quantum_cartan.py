@@ -123,6 +123,13 @@ def test_coxeter_formula_examples():
         qc.ctilde_coxeter(cd, Q, xi, 1, 1, 0)
 
 
+def test_coxeter_formula_rejects_a_height_function_that_does_not_fit_q():
+    cd = rs.build_cartan("A", 3)
+    Q = ar.monotone_quiver(cd)
+    with pytest.raises(ValueError):
+        qc.ctilde_coxeter(cd, Q, (0, 1, 0), 1, 2, 2)
+
+
 @lru_cache(maxsize=None)
 def _tau_power_gamma(Q, xi, i, k):
     """Reference: c^k(gamma_i), one Coxeter step at a time from gamma_i."""

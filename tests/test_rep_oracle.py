@@ -1,3 +1,4 @@
+import math
 import os
 import random
 from collections import Counter
@@ -10,6 +11,8 @@ from hypothesis import strategies as st
 from rmx import ar_quiver as ar
 from rmx import rep_oracle as ro
 from rmx import root_system as rs
+from rmx.ar_quiver import IndecObject
+from rmx.selfcheck import _three_orientations
 
 
 def _a2():
@@ -149,14 +152,36 @@ def test_reflection_functor_reflects_dimension_vectors():
             assert ro.hom_dim_rep(out, out) == 1
 
 
+def _indec_rep_bgp(Q, alpha):
+    """Reference: M_alpha as tau^s(I_i) via sink-ordered reflection functors."""
+    xi = ar.default_height(Q)
+    i, p = ar.happel_inverse(Q, xi, IndecObject(alpha, 0))
+    steps = (xi[i - 1] - p) // 2
+    assert steps >= 0
+    rep = ro.injective_rep(Q, i)
+    order = tuple(sorted(Q.cd.vertices, key=lambda v: (xi[v - 1], v)))
+    for _ in range(steps):
+        for v in order:
+            rep = ro.reflection_functor(rep.Q, v, rep)
+        assert rep.Q == Q
+    assert rep.dims == alpha
+    return rep
+
+
 def test_bgp_construction_path():
-    for family, rank in [("A", 3), ("D", 4)]:
+    """Every indecomposable is a certified 0/1 tree module; up to rank 6 it
+    is isomorphic to the module the reflection functors build."""
+    for family, rank in rs.all_ade_types(8):
         cd = rs.build_cartan(family, rank)
-        for Q in (ar.monotone_quiver(cd), ar.random_orientation(cd, 4)):
+        for Q in _three_orientations(cd):
             for alpha in rs.positive_roots(cd):
-                M = ro._indec_rep_bgp(Q, alpha)
+                M = ro.indec_rep(Q, alpha)
                 assert M.dims == alpha
+                assert {x for m in M.mats.values() for row in m for x in row} <= {0, 1}
                 assert ro.hom_dim_rep(M, M) == 1
+                if rank <= 6:
+                    bgp = _indec_rep_bgp(Q, alpha)
+                    assert ro.decompose(ro.direct_sum([M, bgp])) == Counter({alpha: 2})
 
 
 def test_euler_identity_exhaustive_a3():
@@ -184,6 +209,30 @@ def test_euler_identity_sampled_e6():
         )
 
 
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), type_=st.sampled_from(rs.all_ade_types(8)),
+       orientation=st.integers(0, 2**32), seed=st.integers(0, 2**32))
+def test_hom_minus_ext_is_the_euler_form(data, type_, orientation, seed):
+    cd = rs.build_cartan(*type_)
+    Q = ar.random_orientation(cd, orientation)
+    a, b = (data.draw(st.sampled_from(rs.positive_roots(cd))) for _ in range(2))
+    with mock.patch.dict(os.environ, {"RMX_SEED": str(seed)}):
+        Ma, Mb = ro.indec_rep(Q, a), ro.indec_rep(Q, b)
+    assert ro.hom_dim_rep(Ma, Mb) - ro.ext1_dim_rep(Ma, Mb) == ar.euler_form(Q, a, b)
+
+
+def test_hom_basis_is_integral_and_primitive():
+    cd = rs.build_cartan("D", 5)
+    Q = ar.sink_source_quiver(cd)
+    M, N = ro.indec_rep(Q, (1, 1, 1, 1, 0)), ro.indec_rep(Q, (0, 1, 1, 1, 0))
+    hb = ro.hom_basis(M, ro.direct_sum([M, M, N]))
+    assert hb.dimension == len(hb.basis) == 2 + ro.hom_dim_rep(M, N)
+    for f in hb.basis:
+        entries = [x for m in f.values() for row in m for x in row]
+        assert all(type(x) is int for x in entries)
+        assert math.gcd(*entries) == 1
+
+
 def test_rep_validation_rejects_bad_shapes():
     cd, Q = _a2()
     with pytest.raises(ValueError):
@@ -198,3 +247,23 @@ def test_seed_override_still_certified(monkeypatch):
     assert ro.hom_dim_rep(M, M) == 1
     monkeypatch.delenv("RMX_SEED")
     ro._indec_rep.cache_clear()
+
+
+def test_the_seed_changes_some_basis():
+    cd = rs.build_cartan("E", 6)
+    Q = ar.monotone_quiver(cd)
+    assert any(ro._indec_rep(Q, a, 0).mats != ro._indec_rep(Q, a, 1).mats
+               for a in rs.positive_roots(cd))
+
+
+def test_decompose_window_drops_roots_outside_it():
+    cd, Q = _a2()
+    S1, S2 = ro.simple_rep(Q, 1), ro.simple_rep(Q, 2)
+    xi = ar.default_height(Q)
+    (_, p1), (_, p2) = (ar.happel_inverse(Q, xi, IndecObject(g, 0))
+                        for g in ((1, 0), (0, 1)))
+    R = ro.direct_sum([S1, S2])
+    lo, hi = min(p1, p2) - 1, max(p1, p2) + 1
+    assert ro.decompose(R, between=(lo, hi)) == Counter({(1, 0): 1, (0, 1): 1})
+    with pytest.raises(ro.OracleError):  # nothing left to rebuild dim R from
+        ro.decompose(R, between=(lo, lo + 1))
