@@ -156,15 +156,15 @@ def monomial_leq(cd: CartanData, m: Monomial, m2: Monomial) -> bool:
 # Dorey middle terms at simple poles
 
 
-def _placements(cd: CartanData, x: DeltaVertex, y: DeltaVertex):
-    """Yield (Q, xi, root_x, root_y) for each height function xi, lo first,
-    whose modules include x = (i, p) and y = (j, r).
+def common_heart(cd: CartanData, x: DeltaVertex, y: DeltaVertex):
+    """(Q, lo, root_x, root_y): x and y as modules at the least height
+    function lo whose heart holds both, or None if no height function does.
 
     xi fixes its quiver, and its modules are the (k, q) with
-    xi_{k*} - h + 2 <= q <= xi_k, so xi places x and y exactly when
-    lo <= xi <= hi, with the height functions lo_v = max(p - d(i, v),
-    r - d(j, v)) and hi_v = min(p + h - 2 + d(i*, v), r + h - 2 + d(j*, v)).
-    Only the later placements walk the orientations.
+    xi_{k*} - h + 2 <= q <= xi_k, so xi places x = (i, p) and y = (j, r)
+    exactly when lo <= xi <= hi, with the height functions lo_v = max(p -
+    d(i, v), r - d(j, v)) and hi_v = min(p + h - 2 + d(i*, v), r + h - 2 +
+    d(j*, v)).  Dorey's rule reads the middle term off any such heart.
     """
     (i, p), (j, r) = x, y
     d, h = cd.distance, cd.h
@@ -173,40 +173,24 @@ def _placements(cd: CartanData, x: DeltaVertex, y: DeltaVertex):
     hi = tuple(min(p + h - 2 + d[i_star - 1][v], r + h - 2 + d[j_star - 1][v])
                for v in range(cd.rank))
     if any(a > b for a, b in zip(lo, hi)):
-        return
+        return None
     Q = ar.orient(cd, [(u, v) if lo[u - 1] > lo[v - 1] else (v, u)
                        for u, v in cd.edges])
-    yield Q, lo, ar.happel_object(Q, lo, x).root, ar.happel_object(Q, lo, y).root
-    for Q in ar.all_orientations(cd):
-        base = ar.default_height(Q)
-        strip = ar.module_strip(Q, base)
-        t_lo = max((a - b) // 2 for a, b in zip(lo, base))
-        t_hi = min((c - b) // 2 for c, b in zip(hi, base))
-        for t in range(t_lo, t_hi + 1):
-            xi = ar.shift_height(base, 2 * t)
-            if xi != lo:
-                yield Q, xi, strip[(i, p - 2 * t)], strip[(j, r - 2 * t)]
-
-
-def common_heart(cd: CartanData, x: DeltaVertex, y: DeltaVertex):
-    """First placement of x and y as honest modules, or None."""
-    for placement in _placements(cd, x, y):
-        return placement
-    return None
+    return Q, lo, ar.happel_object(Q, lo, x).root, ar.happel_object(Q, lo, y).root
 
 
 def dorey_middle_term(cd: CartanData, Q: DynkinQuiver, xi, x: DeltaVertex,
-                      y: DeltaVertex, check_all: bool = False) -> Monomial:
+                      y: DeltaVertex) -> Monomial:
     """Middle-term monomial of the non-split triangle at a simple pole.
 
-    Builds the extension of the two modules in a common heart explicitly and
-    reads the Krull-Schmidt summands back through the (i, p) bijection; they
-    lie strictly between x and y, so only those roots are decomposed for.  At
-    column distance exactly h the quotient object is the shift of the sub
-    (forced by ct_ij(h-1) = delta_{j,i*}) and the middle term vanishes.
-    (Q, xi) is validated but does not change the answer.  Every other simple
-    pole is placed, as r - p <= h - 2 + d(i*, j): at r - p = h - 1 the pole
-    is ct_ij(h-2) = ct_(j,i*)(2) = [j ~ i*].
+    Builds the extension of the two modules in their ``common_heart``
+    explicitly and reads the Krull-Schmidt summands back through the (i, p)
+    bijection; they lie strictly between x and y, so only those roots are
+    decomposed for.  At column distance exactly h the quotient object is the
+    shift of the sub (forced by ct_ij(h-1) = delta_{j,i*}) and the middle
+    term vanishes.  (Q, xi) is validated but does not change the answer.
+    Every other simple pole is placed, as r - p <= h - 2 + d(i*, j): at
+    r - p = h - 1 the pole is ct_ij(h-2) = ct_(j,i*)(2) = [j ~ i*].
     """
     ar.check_height(Q, xi)
     order = pole_order(cd, x, y)
@@ -217,24 +201,11 @@ def dorey_middle_term(cd: CartanData, Q: DynkinQuiver, xi, x: DeltaVertex,
     if r - p == cd.h:
         assert j == cd.star_of(i), "simple pole at distance h forces j = i*"
         return Monomial.unit()
-    results = []
-    for Qp, xi_t, root_x, root_y in _placements(cd, x, y):
-        Mx = ro.indec_rep(Qp, root_x)
-        My = ro.indec_rep(Qp, root_y)
-        middle = ro.nonsplit_extension(Mx, My)
-        # heights of one connected quiver differ by a constant; decompose
-        # reads them at default_height, where x and y sit at p - c and r - c
-        shift = {a - b for a, b in zip(xi_t, ar.default_height(Qp))}
-        assert len(shift) == 1, "height functions of Q differ by a constant"
-        (c,) = shift
-        parts = ro.decompose(middle, between=(p - c, r - c))
-        mono = Monomial.unit()
-        for delta, mult in sorted(parts.items()):
-            w = ar.happel_inverse(Qp, xi_t, IndecObject(delta, 0))
-            mono = mono * Monomial.y(*w, e=mult)
-        if not check_all:
-            return mono
-        results.append(mono)
-    if len(set(results)) != 1:
-        raise ro.OracleError("Dorey middle term differs between placements")
-    return results[0]
+    Qp, lo, root_x, root_y = common_heart(cd, x, y)
+    middle = ro.nonsplit_extension(ro.indec_rep(Qp, root_x), ro.indec_rep(Qp, root_y))
+    # heights of one connected quiver differ by a constant c; decompose
+    # reads them at default_height(Qp), where x and y sit at p - c and r - c
+    c = lo[0] - ar.default_height(Qp)[0]
+    parts = ro.decompose(middle, between=(p - c, r - c))
+    return Monomial.from_dict({ar.happel_inverse(Qp, lo, IndecObject(delta, 0)): mult
+                               for delta, mult in parts.items()})

@@ -1,4 +1,4 @@
-"""Exact linear algebra over the rationals: rank, nullspace, solving.
+"""Exact linear algebra over the rationals: rank and nullspace.
 
 Matrices are lists of row lists holding ints or Fractions.  One routine,
 ``_rref``, does every elimination: each row is cleared of denominators once,
@@ -87,14 +87,3 @@ def nullspace(mat, ncols: int) -> list[list[Fraction]]:
         basis.append(v)
     return basis
 
-
-def solve(mat, rhs, ncols: int):
-    """One solution of mat @ x = rhs, or None if inconsistent."""
-    aug = [list(row) + [b] for row, b in zip(mat, rhs)]
-    pivots, rows = _rref(aug, ncols)
-    if any(row[ncols] for row in rows[len(pivots):]):  # a row 0 = b != 0
-        return None
-    x = [Fraction(0)] * ncols
-    for row, c in zip(rows, pivots):
-        x[c] = Fraction(row[ncols], row[c])
-    return x

@@ -21,11 +21,12 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 
 from rmx import ar_quiver as ar
 from rmx import linalg as la
 from rmx import root_system as rs
-from rmx.ar_quiver import DynkinQuiver, IndecObject
+from rmx.ar_quiver import DynkinQuiver
 from rmx.root_system import Vec
 
 
@@ -75,19 +76,9 @@ class HomBasis:
     basis: list[dict]  # vertex -> integer matrix (list of rows)
 
 
-def zero_rep(Q: DynkinQuiver) -> QuiverRep:
-    n = Q.cd.rank
-    return QuiverRep(Q, (0,) * n, {a: [] for a in Q.arrows})
-
-
 def simple_rep(Q: DynkinQuiver, i: int) -> QuiverRep:
     dims = tuple(1 if j == i else 0 for j in Q.cd.vertices)
     return _rep_with_unit_mats(Q, dims)
-
-
-def injective_rep(Q: DynkinQuiver, i: int) -> QuiverRep:
-    """The injective hull I_i: thin support on vertices flowing into i."""
-    return _rep_with_unit_mats(Q, ar.gamma_vector(Q, i))
 
 
 def _rep_with_unit_mats(Q: DynkinQuiver, dims: Vec) -> QuiverRep:
@@ -122,13 +113,6 @@ def direct_sum(reps: list[QuiverRep]) -> QuiverRep:
 # Hom / Ext^1 by exact linear algebra
 
 
-def _block_offsets(sizes: list[int]) -> list[int]:
-    offs = [0]
-    for s in sizes:
-        offs.append(offs[-1] + s)
-    return offs
-
-
 def _intertwiner_matrix(M: QuiverRep, N: QuiverRep):
     """Matrix of Phi(f)_a = N_a f_{src(a)} - f_{tgt(a)} M_a.
 
@@ -137,8 +121,7 @@ def _intertwiner_matrix(M: QuiverRep, N: QuiverRep):
     """
     Q = M.Q
     n = Q.cd.rank
-    cols_per_vertex = [N.dims[v] * M.dims[v] for v in range(n)]
-    col_off = _block_offsets(cols_per_vertex)
+    col_off = [0, *accumulate(N.dims[v] * M.dims[v] for v in range(n))]
     ncols = col_off[-1]
     arrows = sorted(Q.arrows)
     rows = []
@@ -257,75 +240,6 @@ def _indec_rep(Q: DynkinQuiver, alpha: Vec, seed: int) -> QuiverRep:
     raise OracleError(f"no split of {alpha} extends to an indecomposable")
 
 
-def reflection_functor(Q: DynkinQuiver, i: int, R: QuiverRep) -> QuiverRep:
-    """BGP reflection at a sink (plus) or source (minus) vertex.
-
-    The result lives over the quiver with all arrows at i reversed; on
-    indecomposables other than S_i the dimension vector is reflected by r_i.
-    """
-    if R.Q != Q:
-        raise ValueError("representation not over the given quiver")
-    ins = sorted(a for a in Q.arrows if a[1] == i)
-    outs = sorted(a for a in Q.arrows if a[0] == i)
-    if ins and outs:
-        raise ValueError(f"vertex {i} is neither a sink nor a source")
-    flipped = ar.orient(
-        Q.cd,
-        [(v, u) if u == i or v == i else (u, v) for u, v in Q.arrows],
-    )
-    n = Q.cd.rank
-    new_dims = list(R.dims)
-    new_mats = {
-        (v, u) if u == i or v == i else (u, v): R.mat((u, v))
-        for u, v in Q.arrows
-        if u != i and v != i
-    }
-
-    if not ins and not outs:  # isolated vertex (rank 1): nothing to do
-        return QuiverRep(flipped, R.dims, {a: R.mat(a) for a in Q.arrows})
-
-    if ins:  # sink: new space is the kernel of the assembled map into V_i
-        sources = [u for u, _ in ins]
-        sizes = [R.dims[u - 1] for u in sources]
-        offs = _block_offsets(sizes)
-        total = offs[-1]
-        T = [[0] * total for _ in range(R.dims[i - 1])]
-        for (u, _), off in zip(ins, offs):
-            m = R.mats[(u, i)]
-            for r in range(len(m)):
-                for c in range(len(m[r])):
-                    T[r][off + c] = m[r][c]
-        kernel = la.nullspace(T, total)
-        k = len(kernel)
-        new_dims[i - 1] = k
-        for (u, _), off in zip(ins, offs):
-            du = R.dims[u - 1]
-            new_mats[(i, u)] = [
-                [kernel[col][off + r] for col in range(k)] for r in range(du)
-            ]
-    else:  # source: new space is the cokernel of the map out of V_i
-        targets = [v for _, v in outs]
-        sizes = [R.dims[v - 1] for v in targets]
-        offs = _block_offsets(sizes)
-        total = offs[-1]
-        T = [[0] * R.dims[i - 1] for _ in range(total)]
-        for (_, v), off in zip(outs, offs):
-            m = R.mats[(i, v)]
-            for r in range(len(m)):
-                for c in range(len(m[r])):
-                    T[off + r][c] = m[r][c]
-        Tt = [[T[r][c] for r in range(total)] for c in range(R.dims[i - 1])]
-        pi = la.nullspace(Tt, total)  # rows spanning the left kernel
-        k = len(pi)
-        new_dims[i - 1] = k
-        for (_, v), off in zip(outs, offs):
-            dv = R.dims[v - 1]
-            new_mats[(v, i)] = [
-                [pi[r][off + c] for c in range(dv)] for r in range(k)
-            ]
-    return QuiverRep(flipped, tuple(new_dims), new_mats)
-
-
 # ---------------------------------------------------------------------------
 # extensions and decomposition
 
@@ -371,10 +285,11 @@ def decompose(R: QuiverRep, between: tuple[int, int] | None = None) -> Counter:
     roots g <= dim R can be summands, and Hom(M_g, M_d) != 0 for g != d puts
     d strictly higher in the AR quiver: the system is unitriangular, solved
     from the top down in integers, and each equation is certified by
-    hom(M_g, M_d) = 0 for every summand d below g.
+    hom(M_g, M_d) = 0 for every summand d below g.  Heights are read off
+    the module strip at ``default_height(Q)``, which holds each root once.
 
-    ``between = (lo, hi)`` keeps only the roots whose Happel height at
-    ``default_height(Q)`` lies strictly between lo and hi.  That is safe for
+    ``between = (lo, hi)`` keeps only the roots of height strictly between
+    lo and hi.  That is safe for
     the middle term E of a nonsplit 0 -> X -> E -> Y -> 0 with X and Y
     indecomposable at heights lo and hi.  Write E = Z + E' with Z
     indecomposable.  If X -> E has zero component in Z, then X lies in E',
@@ -385,14 +300,13 @@ def decompose(R: QuiverRep, between: tuple[int, int] | None = None) -> Counter:
     X and Y.
     """
     Q = R.Q
-    xi = ar.default_height(Q)
-    height = {g: ar.happel_inverse(Q, xi, IndecObject(g, 0))[1]
-              for g in rs.positive_roots(Q.cd)
+    strip = ar.module_strip(Q, ar.default_height(Q))
+    height = {g: p for (_, p), g in strip.items()
               if all(a <= b for a, b in zip(g, R.dims))}
     if between is not None:
         lo, hi = between
         height = {g: p for g, p in height.items() if lo < p < hi}
-    candidates = sorted(height, key=lambda g: -height[g])
+    candidates = sorted(height, key=lambda g: (-height[g], g))
     out: Counter = Counter()
     for k, g in enumerate(candidates):
         Mg = indec_rep(Q, g)

@@ -65,8 +65,10 @@ class CartanData:
     ``adjacency`` (the neighbours of each vertex), ``distance`` (the graph
     distances), ``cartan`` (the symmetric Cartan matrix), ``eps`` (the
     parity function: eps_i != eps_j for adjacent i, j), ``h`` (the Coxeter
-    number) and ``star`` (the involution induced by the longest Weyl
-    element).
+    number) and ``star`` (the involution i -> i* with w0(alpha_i) =
+    -alpha_(i*) for the longest Weyl element w0).  h and star are the
+    closed forms of each type (Bourbaki, Lie Groups and Lie Algebras,
+    ch. VI, Plates I, IV-VII), so neither builds the positive roots.
     """
 
     family: str
@@ -126,13 +128,22 @@ class CartanData:
 
     @cached_property
     def h(self) -> int:
-        n_pos = len(positive_roots(self))
-        assert (2 * n_pos) % self.rank == 0
-        return 2 * n_pos // self.rank
+        if self.family == "A":
+            return self.rank + 1
+        if self.family == "D":
+            return 2 * self.rank - 2
+        return {6: 12, 7: 18, 8: 30}[self.rank]
 
     @cached_property
     def star(self) -> Vec:
-        return _star_from_longest_word(self)
+        n = self.rank
+        if self.family == "A":
+            return tuple(range(n, 0, -1))
+        if self.family == "D" and n % 2:
+            return tuple(range(1, n - 1)) + (n, n - 1)
+        if (self.family, n) == ("E", 6):
+            return (5, 4, 3, 2, 1, 6)
+        return tuple(self.vertices)
 
     @property
     def vertices(self) -> range:
@@ -182,36 +193,10 @@ def reflect(cd: CartanData, i: int, v: Vec) -> Vec:
     return tuple(w)
 
 
-def _star_from_longest_word(cd: CartanData) -> Vec:
-    # The longest element w0 is the Weyl group element taking 2*rho (the sum
-    # of the positive roots, with (2*rho, alpha_i) = 2 for every i) to
-    # -2*rho: reflect at the first i with (v, alpha_i) > 0 until none is
-    # left, taking length(w0) = #positive roots steps.  Applying the same
-    # reflections to u = sum_i i*alpha_i gives w0(u) = -sum_i i*alpha_(i*),
-    # whose coordinate j is -j*.
-    roots = positive_roots(cd)
-    two_rho = tuple(map(sum, zip(*roots)))
-    v = two_rho
-    u = tuple(cd.vertices)
-    steps = 0
-    while True:
-        i = next((k for k in cd.vertices if _pairing(cd, k, v) > 0), None)
-        if i is None:
-            break
-        v = reflect(cd, i, v)
-        u = reflect(cd, i, u)
-        steps += 1
-    assert steps == len(roots) and v == tuple(-c for c in two_rho)
-    star = tuple(-c for c in u)
-    assert sorted(star) == list(cd.vertices)
-    return star
-
-
 @lru_cache(maxsize=None)
 def _interned(family: str, rank: int, parity_base: int) -> CartanData:
     cd = CartanData(family=family, rank=rank, parity_base=parity_base)
-    cd.edges  # rejects an invalid type
-    cd.star  # derives h and star now, so that building pays for them
+    cd.edges  # rejects an invalid type; h and star are closed forms
     return cd
 
 

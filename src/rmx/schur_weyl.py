@@ -33,12 +33,6 @@ class GammaWindow:
     vertices: tuple
     arrows: tuple[tuple[object, object, int], ...]  # (src, dst, multiplicity)
 
-    def arrow_mult(self, u, v) -> int:
-        for a, b, m in self.arrows:
-            if (a, b) == (u, v):
-                return m
-        return 0
-
 
 @dataclass(frozen=True)
 class FamilyMap:

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rmx import ar_quiver as ar
 from rmx import root_system as rs
@@ -112,6 +114,42 @@ def test_happel_inverse_examples_and_round_trip():
     assert ar.happel_inverse(Qm, (-2, -3), IndecObject((1, 0), 0)) == (1, -2)
     for x in ar.delta_vertices(cd, -2 * cd.h, 2 * cd.h):
         assert ar.happel_inverse(Q, xi, ar.happel_object(Q, xi, x)) == x
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), type_=st.sampled_from(rs.all_ade_types(8)),
+       orientation=st.integers(0, 2**32), shift=st.integers(-8, 8))
+def test_happel_maps_are_mutually_inverse(data, type_, orientation, shift):
+    # any orientation, any even shift of its height, up to 3 periods out
+    cd = rs.build_cartan(*type_)
+    Q = ar.random_orientation(cd, orientation)
+    xi = ar.shift_height(ar.default_height(Q), 2 * shift)
+    i = data.draw(st.sampled_from(cd.vertices))
+    x = (i, xi[i - 1] - 2 * data.draw(st.integers(-3 * cd.h, 3 * cd.h)))
+    assert ar.happel_inverse(Q, xi, ar.happel_object(Q, xi, x)) == x
+    obj = IndecObject(data.draw(st.sampled_from(rs.positive_roots(cd))),
+                      data.draw(st.integers(-6, 6)))
+    assert ar.happel_object(Q, xi, ar.happel_inverse(Q, xi, obj)) == obj
+
+
+def _strip_holds_each_root_once(Q):
+    strip = ar.module_strip(Q, ar.default_height(Q))
+    return sorted(strip.values()) == list(rs.positive_roots(Q.cd))
+
+
+@pytest.mark.parametrize("family,rank", rs.all_ade_types(6))
+def test_default_strip_holds_each_root_once(family, rank):
+    # rep_oracle.decompose reads the height of every root off this strip
+    cd = rs.build_cartan(family, rank)
+    assert all(map(_strip_holds_each_root_once, ar.all_orientations(cd)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(type_=st.sampled_from([("D", 7), ("D", 8), ("E", 7), ("E", 8)]),
+       orientation=st.integers(0, 2**32))
+def test_default_strip_holds_each_root_once_sampled(type_, orientation):
+    cd = rs.build_cartan(*type_)
+    assert _strip_holds_each_root_once(ar.random_orientation(cd, orientation))
 
 
 def test_nakayama_shift_relation():

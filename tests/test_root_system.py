@@ -143,14 +143,27 @@ def dense_reflect(cartan, i, v):
     return tuple(v[j] - (pairing if j == i - 1 else 0) for j in range(len(v)))
 
 
-def closed_form_star(family, n):
-    if family == "A":
-        return tuple(range(n, 0, -1))
-    if family == "D" and n % 2 == 1:
-        return tuple(range(1, n - 1)) + (n, n - 1)
-    if (family, n) == ("E", 6):
-        return (5, 4, 3, 2, 1, 6)
-    return tuple(range(1, n + 1))
+def star_from_longest_word(cd):
+    """Reference: i* read off the longest Weyl element w0.
+
+    w0 takes 2*rho (the sum of the positive roots, with (2*rho, alpha_i) = 2
+    for every i) to -2*rho: reflect at the first i with (v, alpha_i) > 0
+    until none is left, taking length(w0) = #positive roots steps.  The same
+    reflections take u = sum_i i*alpha_i to w0(u) = -sum_i i*alpha_(i*),
+    whose coordinate j is -j*.
+    """
+    roots = rs.positive_roots(cd)
+    two_rho = tuple(map(sum, zip(*roots)))
+    v, u = two_rho, tuple(cd.vertices)
+    steps = 0
+    while True:
+        i = next((k for k in cd.vertices if rs._pairing(cd, k, v) > 0), None)
+        if i is None:
+            break
+        v, u = rs.reflect(cd, i, v), rs.reflect(cd, i, u)
+        steps += 1
+    assert steps == len(roots) and v == tuple(-c for c in two_rho)
+    return tuple(-c for c in u)
 
 
 @st.composite
@@ -203,7 +216,7 @@ def test_positive_root_count_and_star_closed_forms(type_):
     roots = rs.positive_roots(cd)
     assert 2 * len(roots) == n * cd.h
     assert all(rs.is_positive_root(cd, r) for r in roots)
-    assert cd.star == closed_form_star(family, n)
+    assert cd.star == star_from_longest_word(cd)
     assert all(cd.star_of(cd.star_of(i)) == i for i in cd.vertices)
 
 

@@ -137,6 +137,11 @@ def test_gamma_window_is_acyclic():
     assert sw.gamma_window(cd, 3, 2).vertices == ()
 
 
+def arrow_mult(win, u, v) -> int:
+    """The multiplicity of the arrow u -> v of a GammaWindow, 0 if absent."""
+    return next((m for a, b, m in win.arrows if (a, b) == (u, v)), 0)
+
+
 def test_gamma_j_is_full_subquiver_of_window():
     cd = rs.build_cartan("A", 3)
     Q = ar.monotone_quiver(cd)
@@ -146,7 +151,7 @@ def test_gamma_j_is_full_subquiver_of_window():
     gj = sw.gamma_J(cd, fam)
     for j in fam.domain:
         for jp in fam.domain:
-            assert gj.arrow_mult(j, jp) == win.arrow_mult(fam.of(j), fam.of(jp))
+            assert arrow_mult(gj, j, jp) == arrow_mult(win, fam.of(j), fam.of(jp))
 
 
 def test_gamma_arrows_equal_pole_orders():
@@ -154,7 +159,7 @@ def test_gamma_arrows_equal_pole_orders():
     win = sw.gamma_window(cd, -4, 4)
     for u in win.vertices:
         for v in win.vertices:
-            assert win.arrow_mult(u, v) == dn.pole_order(cd, v, u)
+            assert arrow_mult(win, u, v) == dn.pole_order(cd, v, u)
 
 
 def test_family_map_validation():
