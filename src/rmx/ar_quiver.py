@@ -15,8 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 from rmx import quantum_cartan as qc
 from rmx import root_system as rs
@@ -72,13 +71,6 @@ def random_orientation(cd: CartanData, seed: int) -> DynkinQuiver:
     return orient(cd, arrows)
 
 
-def all_orientations(cd: CartanData) -> Iterator[DynkinQuiver]:
-    """Yield the 2^(n-1) orientations lazily, the diagram's own edges first."""
-    for flips in product((False, True), repeat=len(cd.edges)):
-        yield orient(cd, [(v, u) if f else (u, v)
-                          for (u, v), f in zip(cd.edges, flips)])
-
-
 # ---------------------------------------------------------------------------
 # height functions
 
@@ -115,12 +107,6 @@ def default_height(Q: DynkinQuiver, xi1: int | None = None) -> tuple[int, ...]:
     xi = tuple(out[i] for i in cd.vertices)
     check_height(Q, xi)
     return xi
-
-
-def shift_height(xi: tuple[int, ...], even: int) -> tuple[int, ...]:
-    if even % 2 != 0:
-        raise ValueError("height functions may only be shifted by even integers")
-    return tuple(x + even for x in xi)
 
 
 # ---------------------------------------------------------------------------

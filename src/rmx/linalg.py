@@ -1,30 +1,25 @@
-"""Exact linear algebra over the rationals: rank and nullspace.
+"""Exact linear algebra over the integers: rank and nullspace.
 
-Matrices are lists of row lists holding ints or Fractions.  One routine,
-``_rref``, does every elimination: each row is cleared of denominators once,
-Gauss-Jordan elimination then runs in Python ints with every row kept
-primitive (its entries divided by their gcd), and only the entries a caller
-reads off the reduced rows become Fractions.  Integer arithmetic spares the
-normalisation of every intermediate entry, which is where the time of a
-Fraction elimination goes.
+Matrices are lists of row lists holding ints.  One routine, ``_rref``, does
+every elimination: fraction-free Gauss-Jordan elimination in Python ints,
+with every row kept primitive (its entries divided by their gcd).  Kernel
+vectors come back as primitive integer vectors, so no entry is ever a
+fraction.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
 
 
 def _primitive_row(row) -> list[int]:
-    """The row scaled by a nonzero rational to coprime integers."""
-    den = lcm(*[x.denominator for x in row])  # an int has denominator 1
-    ints = [x.numerator * (den // x.denominator) for x in row]
-    g = gcd(*ints)
-    return [x // g for x in ints] if g > 1 else ints
+    """The int row divided by the gcd of its entries."""
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else list(row)
 
 
 def _rref(mat, ncols: int) -> tuple[list[int], list[list[int]]]:
-    """Fraction-free reduced row echelon form over the first ncols columns.
+    """Integer reduced row echelon form over the first ncols columns.
 
     Returns (pivots, rows).  Row r < len(pivots) is the r-th row of the
     reduced row echelon form times its pivot entry rows[r][pivots[r]]; the
@@ -71,19 +66,22 @@ def rank(mat, ncols: int | None = None) -> int:
     return len(_rref(mat, n)[0])
 
 
-def nullspace(mat, ncols: int) -> list[list[Fraction]]:
-    """Basis of the right kernel (each vector of length ncols)."""
+def nullspace(mat, ncols: int) -> list[list[int]]:
+    """Basis of the right kernel (each vector of length ncols).
+
+    One vector per free column, zero at the other free columns: the
+    primitive integer vector positive at its own free column.
+    """
     pivots, rows = _rref(mat, ncols)
-    pivot_set = set(pivots)
     basis = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        v = [Fraction(0)] * ncols
-        v[free] = Fraction(1)
+    for free in sorted(set(range(ncols)) - set(pivots)):
+        # row r reads p_r x_{c_r} + row[free] x_free = 0, so x_free = the
+        # lcm of the pivots p_r clears every denominator at once
+        v = [0] * ncols
+        v[free] = lcm(*(row[c] for row, c in zip(rows, pivots) if row[free]))
         for row, c in zip(rows, pivots):
             if row[free]:
-                v[c] = Fraction(-row[free], row[c])
-        basis.append(v)
+                v[c] = -row[free] * v[free] // row[c]
+        basis.append(_primitive_row(v))
     return basis
 

@@ -1,16 +1,17 @@
-"""Brute-force ground truth: explicit quiver representations over Q.
+"""Brute-force ground truth: explicit quiver representations.
 
-Representations carry exact rational matrices; Hom and Ext^1 come from the
-intertwining linear system, whose kernel vectors are certified as integer
-intertwiners.  Indecomposables are tree modules with 0/1 matrices, built as
-nonsplit extensions of smaller ones and certified by dim End = 1 (every
-exceptional module is a tree module: Ringel 1998).  Krull-Schmidt
-decomposition is recovered from a unitriangular system of Hom counts over
-the roots at most dim R; for the middle term of a nonsplit extension of
-indecomposables, only the roots strictly between them in the AR quiver.
+Representations carry integer matrices; Hom and Ext^1 come from the
+intertwining linear system, whose primitive integer kernel vectors are
+certified as intertwiners.  Indecomposables are tree modules with 0/1
+matrices, built as nonsplit extensions of smaller ones and certified by
+dim End = 1 (every exceptional module is a tree module: Ringel 1998).
+Krull-Schmidt decomposition is recovered from a unitriangular system of Hom
+counts over the roots at most dim R; for the middle term of a nonsplit
+extension of indecomposables, only the roots strictly between them in the
+AR quiver.
 
 Floating point is deliberately impossible here: every matrix entry is an int
-or Fraction and every rank decision is exact.
+and every rank decision is exact.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import os
 import random
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 
@@ -36,7 +36,7 @@ class OracleError(RuntimeError):
 
 @dataclass
 class QuiverRep:
-    """Per-vertex dimensions plus one exact matrix per arrow.
+    """Per-vertex dimensions plus one integer matrix per arrow.
 
     The matrix on arrow u -> v has shape dims[v-1] x dims[u-1]; rows of a
     zero-row matrix are simply absent.
@@ -57,37 +57,17 @@ class QuiverRep:
                 len(row) != self.dims[u - 1] for row in m
             ):
                 raise ValueError(f"matrix shape mismatch on arrow {u}->{v}")
-            fixed[a] = tuple(tuple(x for x in row) for row in m)
+            if any(type(x) is not int for row in m for x in row):
+                raise ValueError(f"non-integer entry on arrow {u}->{v}")
+            fixed[a] = tuple(map(tuple, m))
         self.mats = fixed
-
-    def mat(self, a) -> list[list[Fraction]]:
-        return [list(row) for row in self.mats[a]]
-
-
-@dataclass
-class HomBasis:
-    """A verified basis of the intertwiner space Hom(M, N).
-
-    Each basis map is a primitive integer vector of the kernel (its entries
-    coprime ints), checked to intertwine on every arrow in int arithmetic.
-    """
-
-    dimension: int
-    basis: list[dict]  # vertex -> integer matrix (list of rows)
 
 
 def simple_rep(Q: DynkinQuiver, i: int) -> QuiverRep:
+    """S_i: k at vertex i and 0 elsewhere, so every arrow carries zero."""
     dims = tuple(1 if j == i else 0 for j in Q.cd.vertices)
-    return _rep_with_unit_mats(Q, dims)
-
-
-def _rep_with_unit_mats(Q: DynkinQuiver, dims: Vec) -> QuiverRep:
-    mats = {}
-    for u, v in Q.arrows:
-        if dims[u - 1] == 1 and dims[v - 1] == 1:
-            mats[(u, v)] = [[1]]
-        else:
-            mats[(u, v)] = [[0] * dims[u - 1] for _ in range(dims[v - 1])]
+    mats = {(u, v): [[0] * dims[u - 1] for _ in range(dims[v - 1])]
+            for u, v in Q.arrows}
     return QuiverRep(Q, dims, mats)
 
 
@@ -141,15 +121,20 @@ def _intertwiner_matrix(M: QuiverRep, N: QuiverRep):
     return rows, ncols, col_off, arrows
 
 
-def hom_basis(M: QuiverRep, N: QuiverRep) -> HomBasis:
-    """Verified integer basis of the solution space of the intertwining system."""
+def hom_basis(M: QuiverRep, N: QuiverRep) -> list[dict]:
+    """A verified basis of Hom(M, N): one map per kernel vector of the
+    intertwining system, vertex -> integer matrix (list of rows).
+
+    Each map is a primitive integer vector (its entries coprime ints),
+    checked to intertwine on every arrow in int arithmetic.
+    """
     if M.Q != N.Q:
         raise ValueError("representations live over different quivers")
     Q = M.Q
     n = Q.cd.rank
     rows, ncols, col_off, _ = _intertwiner_matrix(M, N)
     basis = []
-    for vec in map(la._primitive_row, la.nullspace(rows, ncols)):
+    for vec in la.nullspace(rows, ncols):
         f = {}
         for v in range(1, n + 1):
             nv, mv = N.dims[v - 1], M.dims[v - 1]
@@ -157,7 +142,7 @@ def hom_basis(M: QuiverRep, N: QuiverRep) -> HomBasis:
             f[v] = [block[t * mv:(t + 1) * mv] for t in range(nv)]
         _check_intertwiner(M, N, f)
         basis.append(f)
-    return HomBasis(dimension=len(basis), basis=basis)
+    return basis
 
 
 def _mm(a, b, n: int, k: int, m: int):
@@ -178,7 +163,7 @@ def _check_intertwiner(M: QuiverRep, N: QuiverRep, f: dict) -> None:
 
 
 def hom_dim_rep(M: QuiverRep, N: QuiverRep) -> int:
-    return hom_basis(M, N).dimension
+    return len(hom_basis(M, N))
 
 
 def ext1_dim_rep(M: QuiverRep, N: QuiverRep) -> int:
@@ -186,7 +171,7 @@ def ext1_dim_rep(M: QuiverRep, N: QuiverRep) -> int:
     if M.Q != N.Q:
         raise ValueError("representations live over different quivers")
     rows, ncols, _, _ = _intertwiner_matrix(M, N)
-    return len(rows) - la.rank(rows, ncols) if rows else 0
+    return len(rows) - la.rank(rows, ncols)
 
 
 # ---------------------------------------------------------------------------

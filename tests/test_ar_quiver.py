@@ -6,6 +6,8 @@ from rmx import ar_quiver as ar
 from rmx import root_system as rs
 from rmx.ar_quiver import IndecObject
 
+from quivers import all_orientations, shift_height
+
 
 def _a2_setup():
     cd = rs.build_cartan("A", 2)
@@ -123,7 +125,7 @@ def test_happel_maps_are_mutually_inverse(data, type_, orientation, shift):
     # any orientation, any even shift of its height, up to 3 periods out
     cd = rs.build_cartan(*type_)
     Q = ar.random_orientation(cd, orientation)
-    xi = ar.shift_height(ar.default_height(Q), 2 * shift)
+    xi = shift_height(ar.default_height(Q), 2 * shift)
     i = data.draw(st.sampled_from(cd.vertices))
     x = (i, xi[i - 1] - 2 * data.draw(st.integers(-3 * cd.h, 3 * cd.h)))
     assert ar.happel_inverse(Q, xi, ar.happel_object(Q, xi, x)) == x
@@ -141,7 +143,7 @@ def _strip_holds_each_root_once(Q):
 def test_default_strip_holds_each_root_once(family, rank):
     # rep_oracle.decompose reads the height of every root off this strip
     cd = rs.build_cartan(family, rank)
-    assert all(map(_strip_holds_each_root_once, ar.all_orientations(cd)))
+    assert all(map(_strip_holds_each_root_once, all_orientations(cd)))
 
 
 @settings(max_examples=40, deadline=None)
@@ -183,9 +185,9 @@ def test_module_strip_has_one_object_per_root():
     types = [("A", n) for n in range(1, 6)] + [("D", 4), ("D", 5), ("D", 6), ("E", 6)]
     for family, rank in types:
         cd = rs.build_cartan(family, rank)
-        for Q in ar.all_orientations(cd):
+        for Q in all_orientations(cd):
             for t in (0, -6, 6):
-                xi = ar.shift_height(ar.default_height(Q), t)
+                xi = shift_height(ar.default_height(Q), t)
                 strip = ar.module_strip(Q, xi)
                 assert list(strip.items()) == list(_knit_strip(Q, xi).items())
                 assert sorted(strip.values()) == sorted(rs.positive_roots(cd))
@@ -195,9 +197,9 @@ def test_module_strip_has_one_object_per_root():
 def test_module_strip_is_the_closed_form_strip(family, rank):
     # the modules of (Q, xi) are the (k, q) with xi_{k*} - h + 2 <= q <= xi_k
     cd = rs.build_cartan(family, rank)
-    for Q in ar.all_orientations(cd):
+    for Q in all_orientations(cd):
         for t in (0, 4):
-            xi = ar.shift_height(ar.default_height(Q), t)
+            xi = shift_height(ar.default_height(Q), t)
             want = {(k, q) for k in cd.vertices
                     for q in range(xi[k - 1], xi[cd.star_of(k) - 1] - cd.h + 1, -2)}
             assert set(ar.module_strip(Q, xi)) == want
@@ -250,6 +252,6 @@ def test_pairings_independent_of_orientation_and_height():
                 for Q in quivers:
                     base = ar.default_height(Q)
                     for t in (0, -4, 6):
-                        xi = ar.shift_height(base, t)
+                        xi = shift_height(base, t)
                         vals.add(qc.ctilde_coxeter(cd, Q, xi, i, j, l))
                 assert len(vals) == 1, (i, j, l, vals)

@@ -16,6 +16,8 @@ from rmx import root_system as rs
 from rmx.ar_quiver import IndecObject
 from rmx.denominators import Monomial
 
+from quivers import all_orientations, shift_height
+
 
 def test_denominator_goldens():
     cd1 = rs.build_cartan("A", 1)
@@ -194,10 +196,11 @@ def _monomial_leq_by_elimination(cd, m, m2):
             mat[row_pos[key]][col] += e
     target = [ratio.as_dict().get(k, 0) for k in rows_idx]
     # the A-monomials are independent, so the solution, if any, is the
-    # kernel vector of [mat | -target] whose last entry is 1
+    # kernel vector of [mat | -target] scaled to last entry 1; the primitive
+    # kernel vector has last entry 1 exactly when that solution is integral
     aug = [row + [-b] for row, b in zip(mat, target)]
-    sol = next((v[:-1] for v in la.nullspace(aug, len(unknowns) + 1) if v[-1]), None)
-    return sol is not None and all(v.denominator == 1 and v >= 0 for v in sol)
+    v = next((v for v in la.nullspace(aug, len(unknowns) + 1) if v[-1]), None)
+    return v is not None and v[-1] == 1 and all(x >= 0 for x in v[:-1])
 
 
 @settings(max_examples=200, deadline=None)
@@ -222,7 +225,7 @@ def test_monomial_leq_matches_elimination(data, type_):
 
 @lru_cache(maxsize=None)
 def _orientations(cd):
-    return tuple(ar.all_orientations(cd))
+    return tuple(all_orientations(cd))
 
 
 @lru_cache(maxsize=None)
@@ -240,7 +243,7 @@ def _placements_by_scan(cd, x, y):
         base = ar.default_height(Q)
         strip = ar.module_strip(Q, base)
         for t in sorted(_strip_shifts(Q, i, p) & _strip_shifts(Q, j, r)):
-            xi_t = ar.shift_height(base, 2 * t)
+            xi_t = shift_height(base, 2 * t)
             yield Q, xi_t, strip[(i, p - 2 * t)], strip[(j, r - 2 * t)]
 
 
@@ -289,7 +292,7 @@ def test_common_heart_at_rank_40_is_the_monotone_placement():
     cd = rs.build_cartan("A", 40)
     Q, xi, root_x, root_y = dn.common_heart(cd, (1, 0), (1, 2))
     assert Q == ar.monotone_quiver(cd)
-    assert xi == ar.shift_height(ar.default_height(Q), 2)
+    assert xi == shift_height(ar.default_height(Q), 2)
     assert root_x == rs.simple_root(cd, 2)
     assert root_y == rs.simple_root(cd, 1)
 

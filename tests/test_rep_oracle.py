@@ -2,6 +2,7 @@ import math
 import os
 import random
 from collections import Counter
+from fractions import Fraction
 from itertools import accumulate
 from unittest import mock
 
@@ -55,8 +56,7 @@ def test_hom_basis_dimension_matches():
     cd, Q = _a2()
     M = ro.indec_rep(Q, (1, 1))
     S2 = ro.simple_rep(Q, 2)
-    hb = ro.hom_basis(M, S2)
-    assert hb.dimension == len(hb.basis) == 1
+    assert len(ro.hom_basis(M, S2)) == ro.hom_dim_rep(M, S2) == 1
 
 
 def test_ext1_dim_examples():
@@ -144,9 +144,9 @@ def reflection_functor(Q, i, R):
     flipped = ar.orient(
         Q.cd, [(v, u) if u == i or v == i else (u, v) for u, v in Q.arrows])
     if not ins and not outs:  # isolated vertex (rank 1): nothing to do
-        return ro.QuiverRep(flipped, R.dims, {a: R.mat(a) for a in Q.arrows})
+        return ro.QuiverRep(flipped, R.dims, R.mats)
     new_dims = list(R.dims)
-    new_mats = {a: R.mat(a) for a in Q.arrows if i not in a}
+    new_mats = {a: R.mats[a] for a in Q.arrows if i not in a}
     others = [u for u, _ in ins] or [v for _, v in outs]
     offs = [0, *accumulate(R.dims[u - 1] for u in others)]
     total = offs[-1]
@@ -197,13 +197,21 @@ def test_reflection_functor_reflects_dimension_vectors():
             assert ro.hom_dim_rep(out, out) == 1
 
 
+def _injective_rep(Q, i):
+    """Reference: I_i, k at each vertex with a path to i (a 0/1 dimension
+    vector on a tree) and the identity on each arrow between two of them."""
+    dims = ar.gamma_vector(Q, i)
+    mats = {(u, v): [[1] * dims[u - 1]] * dims[v - 1] for u, v in Q.arrows}
+    return ro.QuiverRep(Q, dims, mats)
+
+
 def _indec_rep_bgp(Q, alpha):
     """Reference: M_alpha as tau^s(I_i) via sink-ordered reflection functors."""
     xi = ar.default_height(Q)
     i, p = ar.happel_inverse(Q, xi, IndecObject(alpha, 0))
     steps = (xi[i - 1] - p) // 2
     assert steps >= 0
-    rep = ro._rep_with_unit_mats(Q, ar.gamma_vector(Q, i))  # I_i
+    rep = _injective_rep(Q, i)
     order = tuple(sorted(Q.cd.vertices, key=lambda v: (xi[v - 1], v)))
     for _ in range(steps):
         for v in order:
@@ -270,9 +278,9 @@ def test_hom_basis_is_integral_and_primitive():
     cd = rs.build_cartan("D", 5)
     Q = ar.sink_source_quiver(cd)
     M, N = ro.indec_rep(Q, (1, 1, 1, 1, 0)), ro.indec_rep(Q, (0, 1, 1, 1, 0))
-    hb = ro.hom_basis(M, ro.direct_sum([M, M, N]))
-    assert hb.dimension == len(hb.basis) == 2 + ro.hom_dim_rep(M, N)
-    for f in hb.basis:
+    basis = ro.hom_basis(M, ro.direct_sum([M, M, N]))
+    assert len(basis) == 2 + ro.hom_dim_rep(M, N)
+    for f in basis:
         entries = [x for m in f.values() for row in m for x in row]
         assert all(type(x) is int for x in entries)
         assert math.gcd(*entries) == 1
@@ -282,6 +290,9 @@ def test_rep_validation_rejects_bad_shapes():
     cd, Q = _a2()
     with pytest.raises(ValueError):
         ro.QuiverRep(Q, (1, 1), {(2, 1): [[1, 2]]})
+    for entry in (Fraction(1, 2), Fraction(1), 1.0):  # entries are ints only
+        with pytest.raises(ValueError):
+            ro.QuiverRep(Q, (1, 1), {(2, 1): [[entry]]})
 
 
 def test_seed_override_still_certified(monkeypatch):
