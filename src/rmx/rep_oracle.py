@@ -5,10 +5,10 @@ intertwining linear system, whose primitive integer kernel vectors are
 certified as intertwiners.  Indecomposables are tree modules with 0/1
 matrices, built as nonsplit extensions of smaller ones and certified by
 dim End = 1 (every exceptional module is a tree module: Ringel 1998).
-Krull-Schmidt decomposition is recovered from a unitriangular system of Hom
-counts over the roots at most dim R; for the middle term of a nonsplit
-extension of indecomposables, only the roots strictly between them in the
-AR quiver.
+Krull-Schmidt decomposition is solved from Hom counts over the roots at most
+dim R (for the middle term of a nonsplit extension of indecomposables, only
+the roots strictly between them in the AR quiver) and proved by an explicit
+isomorphism from the claimed direct sum.
 
 Floating point is deliberately impossible here: every matrix entry is an int
 and every rank decision is exact.
@@ -197,6 +197,15 @@ def indec_rep(Q: DynkinQuiver, alpha: Vec) -> QuiverRep:
     return _indec_rep(Q, alpha, base_seed())
 
 
+def _splits(cd: rs.CartanData, alpha: Vec):
+    """Yield each split alpha = beta + gamma into positive roots once
+    (beta < gamma), in ``positive_roots`` order."""
+    for beta in rs.positive_roots(cd):
+        gamma = tuple(a - b for a, b in zip(alpha, beta))
+        if beta < gamma and rs.is_positive_root(cd, gamma):
+            yield beta, gamma
+
+
 @lru_cache(maxsize=None)
 def _indec_rep(Q: DynkinQuiver, alpha: Vec, seed: int) -> QuiverRep:
     """``indec_rep`` for a positive root, its splits tried in seeded order.
@@ -207,12 +216,9 @@ def _indec_rep(Q: DynkinQuiver, alpha: Vec, seed: int) -> QuiverRep:
     """
     if sum(alpha) == 1:
         return simple_rep(Q, alpha.index(1) + 1)
-    splits = []
-    for beta in rs.positive_roots(Q.cd):
-        gamma = tuple(a - b for a, b in zip(alpha, beta))
-        if beta < gamma and rs.is_positive_root(Q.cd, gamma):
-            splits.append((beta, gamma))
+    splits = _splits(Q.cd, alpha)
     if seed:
+        splits = list(splits)
         random.Random(seed).shuffle(splits)
     for beta, gamma in splits:
         for sub, quot in ((beta, gamma), (gamma, beta)):
@@ -264,14 +270,21 @@ def nonsplit_extension(Msub: QuiverRep, Mquot: QuiverRep) -> QuiverRep:
 
 
 def decompose(R: QuiverRep, between: tuple[int, int] | None = None) -> Counter:
-    """The multiset of roots with R isomorphic to the matching direct sum.
+    """The multiset of roots with R isomorphic to the matching direct sum,
+    proved by an explicit isomorphism.
 
     The Hom counts hom(M_g, R) = sum_d hom(M_g, M_d) mu_d pin R down.  Only
     roots g <= dim R can be summands, and Hom(M_g, M_d) != 0 for g != d puts
-    d strictly higher in the AR quiver: the system is unitriangular, solved
-    from the top down in integers, and each equation is certified by
-    hom(M_g, M_d) = 0 for every summand d below g.  Heights are read off
-    the module strip at ``default_height(Q)``, which holds each root once.
+    d strictly higher in the AR quiver, so the system is solved from the top
+    down in integers.  Hom and Ext^1 between indecomposables of a Dynkin
+    quiver are never both nonzero, so hom(M_g, M_d) is read off the Euler
+    form as max(<g, d>, 0).  Heights are read off the module strip at
+    ``default_height(Q)``, which holds each root once.
+
+    Neither the AR order nor the Euler form is trusted: the answer N is
+    proved by a map N -> R, a random integer combination of the Hom bases
+    the solve computed (``_certify_isomorphism``), that is invertible at
+    every vertex.  A wrong answer raises ``OracleError``.
 
     ``between = (lo, hi)`` keeps only the roots of height strictly between
     lo and hi.  That is safe for
@@ -291,21 +304,59 @@ def decompose(R: QuiverRep, between: tuple[int, int] | None = None) -> Counter:
     if between is not None:
         lo, hi = between
         height = {g: p for g, p in height.items() if lo < p < hi}
-    candidates = sorted(height, key=lambda g: (-height[g], g))
     out: Counter = Counter()
-    for k, g in enumerate(candidates):
-        Mg = indec_rep(Q, g)
-        m = hom_dim_rep(Mg, R) - sum(
-            hom_dim_rep(Mg, indec_rep(Q, d)) * md for d, md in out.items())
+    bases = {}
+    for g in sorted(height, key=lambda g: (-height[g], g)):
+        basis = hom_basis(indec_rep(Q, g), R)
+        m = len(basis) - sum(
+            max(ar.euler_form(Q, g, d), 0) * md for d, md in out.items())
         if m < 0:
             raise OracleError(f"negative multiplicity {m} at {g}")
         if m:
-            if any(hom_dim_rep(indec_rep(Q, c), Mg) for c in candidates[:k]):
-                raise OracleError(f"Hom to {g} from a root above it")
-            out[g] = m
+            out[g], bases[g] = m, basis
     recon = tuple(
         sum(out[g] * g[k] for g in out) for k in range(Q.cd.rank)
     )
     if recon != R.dims:
         raise OracleError(f"multiplicities rebuild {recon}, expected {R.dims}")
+    if sum(R.dims):
+        _certify_isomorphism(R, out, bases)
     return out
+
+
+_ISO_DRAWS = 8
+
+
+def _certify_isomorphism(R: QuiverRep, out: Counter, bases: dict) -> None:
+    """Prove R isomorphic to N = sum_g M_g^out[g], or raise ``OracleError``.
+
+    Hom(N, R) is the direct sum of out[g] copies of Hom(M_g, R), spanned by
+    the certified maps in ``bases[g]``.  Each draw combines every copy's
+    basis with random integer coefficients in [1, 4 |dim R| + 1]; that is a
+    map N -> R, and its vertex maps are square because dim N = dim R.  Full
+    rank of their block diagonal makes it an isomorphism.  If R and N are
+    isomorphic, the determinant is a nonzero polynomial of degree |dim R| in
+    the coefficients, so a draw fails with probability below 1/4 (Schwartz
+    1980; Zippel 1979).  The draws are seeded by a constant, not RMX_SEED.
+    """
+    size = sum(R.dims)
+    rng = random.Random(0)
+    for _ in range(_ISO_DRAWS):
+        # the vertex maps N_v -> R_v, one column block per copy of each M_g
+        maps = [[[] for _ in range(d)] for d in R.dims]
+        for g, m in out.items():
+            for _ in range(m):
+                coeffs = [rng.randint(1, 4 * size + 1) for _ in bases[g]]
+                for v, rows in enumerate(maps, start=1):
+                    for t, row in enumerate(rows):
+                        row += [sum(c * f[v][t][s]
+                                    for c, f in zip(coeffs, bases[g]))
+                                for s in range(g[v - 1])]
+        diag, off = [], 0
+        for d, rows in zip(R.dims, maps):
+            diag += [[0] * off + row + [0] * (size - off - d) for row in rows]
+            off += d
+        if la.rank(diag, size) == size:
+            return
+    raise OracleError(f"no isomorphism found onto {dict(out)} "
+                      f"in {_ISO_DRAWS} draws")

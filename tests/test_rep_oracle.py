@@ -3,6 +3,7 @@ import os
 import random
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate
 from unittest import mock
 
@@ -323,3 +324,76 @@ def test_decompose_window_drops_roots_outside_it():
     assert ro.decompose(R, between=(lo, hi)) == Counter({(1, 0): 1, (0, 1): 1})
     with pytest.raises(ro.OracleError):  # nothing left to rebuild dim R from
         ro.decompose(R, between=(lo, lo + 1))
+
+
+def test_decompose_rejects_a_window_without_a_summand():
+    # the window keeps S1 and M_(1,1) but not S2: the Hom counts give
+    # {(1,1): 1}, which rebuilds dim R, and no map M_(1,1) -> R is onto
+    cd, Q = _a2()
+    R = ro.direct_sum([ro.simple_rep(Q, 1), ro.simple_rep(Q, 2)])
+    assert ar.default_height(Q) == (0, 1)
+    with mock.patch.object(la, "rank", wraps=la.rank) as rank:
+        with pytest.raises(ro.OracleError, match="no isomorphism"):
+            ro.decompose(R, between=(-2, 1))
+    assert rank.call_count == ro._ISO_DRAWS  # a fixed number of draws
+
+
+def test_a_wrong_claim_fails_after_the_fixed_number_of_draws():
+    cd = rs.build_cartan("D", 4)
+    Q = ar.monotone_quiver(cd)
+    a, b = (1, 1, 0, 0), (0, 1, 1, 1)
+    Ma, Mb = ro.indec_rep(Q, a), ro.indec_rep(Q, b)
+    R = ro.direct_sum([Ma, Mb])
+    c = tuple(x + y for x, y in zip(a, b))
+    right = {a: ro.hom_basis(Ma, R), b: ro.hom_basis(Mb, R)}
+    ro._certify_isomorphism(R, Counter({a: 1, b: 1}), right)
+    assert rs.is_positive_root(cd, c)  # the highest root: dim R, a wrong claim
+    with mock.patch.object(la, "rank", wraps=la.rank) as rank:
+        with pytest.raises(ro.OracleError):
+            ro._certify_isomorphism(R, Counter({c: 1}),
+                                    {c: ro.hom_basis(ro.indec_rep(Q, c), R)})
+    assert rank.call_count == ro._ISO_DRAWS
+
+
+def test_the_zero_representation_needs_no_draw():
+    cd = rs.build_cartan("D", 4)
+    Q = ar.monotone_quiver(cd)
+    zero = ro.QuiverRep(Q, (0,) * 4, {a: [] for a in Q.arrows})
+    with mock.patch.object(la, "rank", wraps=la.rank) as rank:
+        assert ro.decompose(zero) == Counter()
+    assert rank.call_count == 0
+
+
+@lru_cache(maxsize=None)
+def _indec_rep_eager(Q, alpha, seed):
+    """Reference: the tree-module build that lists every split first."""
+    if sum(alpha) == 1:
+        return ro.simple_rep(Q, alpha.index(1) + 1)
+    splits = []
+    for beta in rs.positive_roots(Q.cd):
+        gamma = tuple(a - b for a, b in zip(alpha, beta))
+        if beta < gamma and rs.is_positive_root(Q.cd, gamma):
+            splits.append((beta, gamma))
+    if seed:
+        random.Random(seed).shuffle(splits)
+    for beta, gamma in splits:
+        for sub, quot in ((beta, gamma), (gamma, beta)):
+            if ar.euler_form(Q, quot, sub) != -1:
+                continue
+            rep = ro.nonsplit_extension(_indec_rep_eager(Q, sub, seed),
+                                        _indec_rep_eager(Q, quot, seed))
+            if ro.hom_dim_rep(rep, rep) == 1:
+                return rep
+    raise AssertionError(f"no split of {alpha} extends to an indecomposable")
+
+
+@pytest.mark.parametrize("type_", [("A", 4), ("D", 5), ("E", 6)],
+                         ids=["A4", "D5", "E6"])
+@pytest.mark.parametrize("orientation", ["monotone", "sink_source"])
+@pytest.mark.parametrize("seed", [0, 7])
+def test_lazy_split_search_builds_what_the_eager_one_did(type_, orientation, seed):
+    cd = rs.build_cartan(*type_)
+    Q = getattr(ar, f"{orientation}_quiver")(cd)
+    for alpha in rs.positive_roots(cd):
+        lazy, eager = ro._indec_rep(Q, alpha, seed), _indec_rep_eager(Q, alpha, seed)
+        assert (lazy.dims, lazy.mats) == (eager.dims, eager.mats)
