@@ -237,6 +237,12 @@ def happel_inverse(Q: DynkinQuiver, xi: tuple[int, ...],
     check_height(Q, xi)
     if not rs.is_positive_root(Q.cd, obj.root):
         raise ValueError(f"{obj.root} is not a positive root")
+    return _happel_inverse(Q, xi, obj)
+
+
+def _happel_inverse(Q: DynkinQuiver, xi: tuple[int, ...],
+                    obj: IndecObject) -> DeltaVertex:
+    """``happel_inverse`` unchecked: xi must fit Q and obj.root be a root."""
     i, s, s0 = _orbit_index(Q)[(obj.root, obj.shift % 2)]
     return (i, xi[i - 1] - 2 * s + Q.cd.h * (obj.shift - s0))
 

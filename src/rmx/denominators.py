@@ -185,11 +185,12 @@ def dorey_middle_term(cd: CartanData, Q: DynkinQuiver, xi, x: DeltaVertex,
 
     Builds the extension of the two modules in their ``common_heart``
     explicitly and reads the Krull-Schmidt summands back through the (i, p)
-    bijection; they lie strictly between x and y, so only those roots are
-    decomposed for.  At column distance exactly h the quotient object is the
-    shift of the sub (forced by ct_ij(h-1) = delta_{j,i*}) and the middle
-    term vanishes.  (Q, xi) is validated but does not change the answer.
-    Every other simple pole is placed, as r - p <= h - 2 + d(i*, j): at
+    bijection.  A summand lies strictly between x and y and takes a nonzero
+    map from X and to Y, so only those roots are decomposed for.  At column
+    distance exactly h the quotient object is the shift of the sub (forced
+    by ct_ij(h-1) = delta_{j,i*}) and the middle term vanishes.  (Q, xi) is
+    validated but does not change the answer.  Every other simple pole is
+    placed, as r - p <= h - 2 + d(i*, j): at
     r - p = h - 1 the pole is ct_ij(h-2) = ct_(j,i*)(2) = [j ~ i*].
     """
     ar.check_height(Q, xi)
@@ -203,9 +204,6 @@ def dorey_middle_term(cd: CartanData, Q: DynkinQuiver, xi, x: DeltaVertex,
         return Monomial.unit()
     Qp, lo, root_x, root_y = common_heart(cd, x, y)
     middle = ro.nonsplit_extension(ro.indec_rep(Qp, root_x), ro.indec_rep(Qp, root_y))
-    # heights of one connected quiver differ by a constant c; decompose
-    # reads them at default_height(Qp), where x and y sit at p - c and r - c
-    c = lo[0] - ar.default_height(Qp)[0]
-    parts = ro.decompose(middle, between=(p - c, r - c))
+    parts = ro.decompose(middle, between=(root_x, root_y))
     return Monomial.from_dict({ar.happel_inverse(Qp, lo, IndecObject(delta, 0)): mult
                                for delta, mult in parts.items()})

@@ -84,11 +84,6 @@ def ctilde_coxeter(cd, Q, xi, i: int, j: int, l: int) -> int:
     enough.  Independent of the choice of (Q, xi); xi must fit Q.
     """
     ar.check_height(Q, xi)
-    return _ctilde_coxeter(cd, Q, xi, i, j, l)
-
-
-def _ctilde_coxeter(cd, Q, xi, i: int, j: int, l: int) -> int:
-    """``ctilde_coxeter`` unchecked: xi must be a height function of Q."""
     if l < 1:
         raise ValueError("l must be >= 1")
     if (l + cd.eps_of(i) + cd.eps_of(j) + 1) % 2 == 1:
@@ -96,6 +91,28 @@ def _ctilde_coxeter(cd, Q, xi, i: int, j: int, l: int) -> int:
     k = (l + xi[i - 1] - xi[j - 1] - 1) // 2
     root, shift = ar._tau_orbits(Q)[i - 1][k % cd.h]
     return -root[j - 1] if shift % 2 else root[j - 1]
+
+
+def ctilde_coxeter_table(cd: CartanData, Q, xi, L: int) -> CTildeTable:
+    """``ctilde_coxeter`` at every (l, i, j) with 1 <= l <= L, as one table.
+
+    xi is validated once, and each knitting entry tau^s(I_i) is read once,
+    as the vector c^s(gamma_i) (its root, negated when the shift is odd).
+    """
+    ar.check_height(Q, xi)
+    if L < 1:
+        raise ValueError("truncation order must be >= 1")
+    n, h, eps = cd.rank, cd.h, cd.eps
+    powers = [[tuple(-c for c in root) if shift % 2 else root
+               for root, shift in orbit] for orbit in ar._tau_orbits(Q)]
+    values = tuple(
+        tuple(
+            tuple(0 if (l + eps[i] + eps[j] + 1) % 2
+                  else powers[i][(l + xi[i] - xi[j] - 1) // 2 % h][j]
+                  for j in range(n))
+            for i in range(n))
+        for l in range(1, L + 1))
+    return CTildeTable(cd=cd, L=L, values=values)
 
 
 def rational_inversion_residual(cd: CartanData, L: int, z0):

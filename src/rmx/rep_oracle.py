@@ -7,8 +7,9 @@ matrices, built as nonsplit extensions of smaller ones and certified by
 dim End = 1 (every exceptional module is a tree module: Ringel 1998).
 Krull-Schmidt decomposition is solved from Hom counts over the roots at most
 dim R (for the middle term of a nonsplit extension of indecomposables, only
-the roots strictly between them in the AR quiver) and proved by an explicit
-isomorphism from the claimed direct sum.
+the roots strictly between them in the AR quiver with a nonzero map from the
+sub and to the quotient) and proved by an explicit isomorphism from the
+claimed direct sum.
 
 Floating point is deliberately impossible here: every matrix entry is an int
 and every rank decision is exact.
@@ -269,7 +270,7 @@ def nonsplit_extension(Msub: QuiverRep, Mquot: QuiverRep) -> QuiverRep:
     return QuiverRep(Q, dims, mats)
 
 
-def decompose(R: QuiverRep, between: tuple[int, int] | None = None) -> Counter:
+def decompose(R: QuiverRep, between: tuple[Vec, Vec] | None = None) -> Counter:
     """The multiset of roots with R isomorphic to the matching direct sum,
     proved by an explicit isomorphism.
 
@@ -286,12 +287,12 @@ def decompose(R: QuiverRep, between: tuple[int, int] | None = None) -> Counter:
     the solve computed (``_certify_isomorphism``), that is invertible at
     every vertex.  A wrong answer raises ``OracleError``.
 
-    ``between = (lo, hi)`` keeps only the roots of height strictly between
-    lo and hi.  That is safe for
-    the middle term E of a nonsplit 0 -> X -> E -> Y -> 0 with X and Y
-    indecomposable at heights lo and hi.  Write E = Z + E' with Z
-    indecomposable.  If X -> E has zero component in Z, then X lies in E',
-    Y = Z + E'/X forces E' = X and the sequence splits; so Hom(X, Z) != 0,
+    ``between = (x, y)``, the roots of two indecomposables X and Y, keeps
+    only the roots g strictly between x and y in height with <x, g> > 0 and
+    <g, y> > 0.  That is safe for the middle term E of a nonsplit
+    0 -> X -> E -> Y -> 0.  Write E = Z + E' with Z indecomposable.  If
+    X -> E has zero component in Z, then X lies in E', Y = Z + E'/X forces
+    E' = X and the sequence splits; so Hom(X, Z) != 0, that is <x, z> > 0,
     and dually Hom(Z, Y) != 0.  Z = X or Z = Y would make that map an
     isomorphism (End = k) and split the sequence too.  Nonzero maps between
     distinct indecomposables climb the AR quiver, so Z lies strictly between
@@ -299,14 +300,15 @@ def decompose(R: QuiverRep, between: tuple[int, int] | None = None) -> Counter:
     """
     Q = R.Q
     strip = ar.module_strip(Q, ar.default_height(Q))
-    height = {g: p for (_, p), g in strip.items()
-              if all(a <= b for a, b in zip(g, R.dims))}
+    height = {g: p for (_, p), g in strip.items()}
+    candidates = [g for g in height if all(a <= b for a, b in zip(g, R.dims))]
     if between is not None:
-        lo, hi = between
-        height = {g: p for g, p in height.items() if lo < p < hi}
+        x, y = between
+        candidates = [g for g in candidates if height[x] < height[g] < height[y]
+                      and ar.euler_form(Q, x, g) > 0 and ar.euler_form(Q, g, y) > 0]
     out: Counter = Counter()
     bases = {}
-    for g in sorted(height, key=lambda g: (-height[g], g)):
+    for g in sorted(candidates, key=lambda g: (-height[g], g)):
         basis = hom_basis(indec_rep(Q, g), R)
         m = len(basis) - sum(
             max(ar.euler_form(Q, g, d), 0) * md for d, md in out.items())

@@ -190,12 +190,37 @@ def test_dual_method_agreement(family, rank):
         ]
         for Q in quivers:
             xi = ar.default_height(Q)
+            assert qc.ctilde_coxeter_table(cd, Q, xi, 2 * cd.h).values == table.values
             for i in cd.vertices:
                 for j in cd.vertices:
                     for l in range(1, 2 * cd.h + 1):
                         assert table.value(i, j, l) == qc.ctilde_coxeter(
                             cd, Q, xi, i, j, l
                         ), (family, rank, parity, Q.label(), i, j, l)
+
+
+@pytest.mark.parametrize("family,rank", rs.all_ade_types(6))
+def test_coxeter_table_matches_the_formula_entry_by_entry(family, rank):
+    for parity in (0, 1):
+        cd = rs.build_cartan(family, rank, parity_base=parity)
+        L = 3 * cd.h
+        for Q in all_orientations(cd):
+            for t in (0, -6):
+                xi = shift_height(ar.default_height(Q), t)
+                table = qc.ctilde_coxeter_table(cd, Q, xi, L)
+                assert (table.cd, table.L) == (cd, L)
+                assert [table.series(i, j) for i in cd.vertices for j in cd.vertices] == [
+                    tuple(qc.ctilde_coxeter(cd, Q, xi, i, j, l) for l in range(1, L + 1))
+                    for i in cd.vertices for j in cd.vertices], (parity, Q.label(), t)
+
+
+def test_coxeter_table_rejects_bad_input():
+    cd = rs.build_cartan("A", 3)
+    Q = ar.monotone_quiver(cd)
+    with pytest.raises(ValueError):
+        qc.ctilde_coxeter_table(cd, Q, (0, 1, 0), 4)
+    with pytest.raises(ValueError):
+        qc.ctilde_coxeter_table(cd, Q, ar.default_height(Q), 0)
 
 
 def test_table_independent_of_parity_choice():

@@ -314,27 +314,46 @@ def test_the_seed_changes_some_basis():
 
 
 def test_decompose_window_drops_roots_outside_it():
+    # the AR quiver is S1 -> M_(1,1) -> S2: the window between S1 and S2
+    # keeps M_(1,1), and the one between S1 and M_(1,1) keeps nothing
     cd, Q = _a2()
-    S1, S2 = ro.simple_rep(Q, 1), ro.simple_rep(Q, 2)
     xi = ar.default_height(Q)
-    (_, p1), (_, p2) = (ar.happel_inverse(Q, xi, IndecObject(g, 0))
-                        for g in ((1, 0), (0, 1)))
-    R = ro.direct_sum([S1, S2])
-    lo, hi = min(p1, p2) - 1, max(p1, p2) + 1
-    assert ro.decompose(R, between=(lo, hi)) == Counter({(1, 0): 1, (0, 1): 1})
-    with pytest.raises(ro.OracleError):  # nothing left to rebuild dim R from
-        ro.decompose(R, between=(lo, lo + 1))
+    assert [ar.happel_inverse(Q, xi, IndecObject(g, 0))[1]
+            for g in ((1, 0), (1, 1), (0, 1))] == [-1, 0, 1]
+    M = ro.indec_rep(Q, (1, 1))
+    R = ro.direct_sum([M, M])
+    assert ro.decompose(R, between=((1, 0), (0, 1))) == Counter({(1, 1): 2})
+    with pytest.raises(ro.OracleError, match="rebuild"):
+        ro.decompose(R, between=((1, 0), (1, 1)))
+
+
+def test_decompose_window_keeps_only_roots_with_maps_from_x_and_to_y():
+    # on 1 -> 2 -> 3, S2 lies between S3 and M_(1,1,0) in height, but
+    # Hom(S3, S2) = 0, so it is no candidate between them
+    cd = rs.build_cartan("A", 3)
+    Q = ar.monotone_quiver(cd)
+    x, y, s2 = (0, 0, 1), (1, 1, 0), (0, 1, 0)
+    xi = ar.default_height(Q)
+    assert (ar.happel_inverse(Q, xi, IndecObject(x, 0))[1]
+            < ar.happel_inverse(Q, xi, IndecObject(s2, 0))[1]
+            < ar.happel_inverse(Q, xi, IndecObject(y, 0))[1])
+    assert ar.euler_form(Q, x, s2) == 0
+    S2 = ro.indec_rep(Q, s2)
+    assert ro.decompose(S2) == Counter({s2: 1})
+    with pytest.raises(ro.OracleError, match="rebuild"):
+        ro.decompose(S2, between=(x, y))
+    middle = ro.nonsplit_extension(ro.indec_rep(Q, x), ro.indec_rep(Q, y))
+    assert ro.decompose(middle, between=(x, y)) == Counter({(1, 1, 1): 1})
 
 
 def test_decompose_rejects_a_window_without_a_summand():
-    # the window keeps S1 and M_(1,1) but not S2: the Hom counts give
+    # the window between S1 and S2 keeps M_(1,1) alone: the Hom counts give
     # {(1,1): 1}, which rebuilds dim R, and no map M_(1,1) -> R is onto
     cd, Q = _a2()
     R = ro.direct_sum([ro.simple_rep(Q, 1), ro.simple_rep(Q, 2)])
-    assert ar.default_height(Q) == (0, 1)
     with mock.patch.object(la, "rank", wraps=la.rank) as rank:
         with pytest.raises(ro.OracleError, match="no isomorphism"):
-            ro.decompose(R, between=(-2, 1))
+            ro.decompose(R, between=((1, 0), (0, 1)))
     assert rank.call_count == ro._ISO_DRAWS  # a fixed number of draws
 
 

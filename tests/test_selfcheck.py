@@ -1,0 +1,80 @@
+"""Each rewritten selfcheck check fails when one fact it covers is wrong.
+
+The checks compare in bulk and compute each shared fact once; these
+mutations show that one wrong knitting entry, one wrong single step or one
+wrong Hom count still reaches the verdict.  Each test first runs the check
+unpatched, which also fills the caches the patched function feeds, so the
+mutation cannot outlive the test.
+"""
+
+from rmx import ar_quiver as ar
+from rmx import rep_oracle as ro
+from rmx import root_system as rs
+from rmx import selfcheck as sc
+from rmx.ar_quiver import IndecObject
+
+
+def test_a_wrong_knitting_entry_fails_the_dual_method(monkeypatch):
+    assert sc.check_ctilde_dual_method(3)[0]
+    target = ar.monotone_quiver(rs.build_cartan("A", 3))
+    orig = ar._tau_orbits
+
+    def corrupted(Q):
+        orbits = orig(Q)
+        if Q != target:
+            return orbits
+        root, shift = orbits[0][1]
+        first = orbits[0][:1] + (IndecObject(root, shift + 1),) + orbits[0][2:]
+        return (first,) + orbits[1:]
+
+    monkeypatch.setattr(ar, "_tau_orbits", corrupted)
+    passed, detail = sc.check_ctilde_dual_method(3)
+    assert not passed
+    assert f"first: ('A3', 0, '{target.label()}', 1," in detail
+
+
+def test_a_wrong_tau_step_fails_tau_nakayama(monkeypatch):
+    assert sc.check_tau_nakayama(3)[0]
+    orig = ar.tau_object
+
+    def one_wrong_step(Q, xi, obj, times):
+        out = orig(Q, xi, obj, times)
+        if Q.cd.label() == "A3" and times == 1 and obj.root == (0, 1, 0):
+            return IndecObject(out.root, out.shift - 1)
+        return out
+
+    monkeypatch.setattr(ar, "tau_object", one_wrong_step)
+    passed, detail = sc.check_tau_nakayama(3)
+    assert not passed
+    assert "A3: knitting tau^h is not shift -2" in detail
+
+
+def test_a_wrong_coxeter_step_fails_tau_nakayama(monkeypatch):
+    assert sc.check_tau_nakayama(3)[0]
+    orig = ar.coxeter_apply
+
+    def one_wrong_step(cd, word, v, times):
+        out = orig(cd, word, v, times)
+        if cd.label() == "A3" and times == 1 and v == (0, 1, 0):
+            return tuple(-c for c in out)
+        return out
+
+    monkeypatch.setattr(ar, "coxeter_apply", one_wrong_step)
+    passed, detail = sc.check_tau_nakayama(3)
+    assert not passed
+    assert "A3: tau^h moves" in detail
+
+
+def test_one_wrong_hom_count_fails_ext_oracle(monkeypatch):
+    assert sc.check_ext_oracle(("A3",))[0]
+    cd = rs.build_cartan("A", 3)
+    x, y, (Q0, _, a, b) = next(sc._ext_oracle_pairs(cd, 2 * cd.h))
+    orig = ro.hom_dim_rep
+
+    def off_by_one(M, N):
+        return orig(M, N) + ((M.Q, M.dims, N.dims) == (Q0, a, b))
+
+    monkeypatch.setattr(ro, "hom_dim_rep", off_by_one)
+    passed, detail = sc.check_ext_oracle(("A3",))
+    assert not passed
+    assert detail.startswith(f"A3: hom mismatch at {x},{y}")
