@@ -114,9 +114,13 @@ def default_height(Q: DynkinQuiver, xi1: int | None = None) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def coxeter_word(Q: DynkinQuiver, xi: tuple[int, ...]) -> tuple[int, ...]:
-    """Vertices by descending height (ties by index); leftmost acts last."""
-    check_height(Q, xi)
+def coxeter_word(Q: DynkinQuiver) -> tuple[int, ...]:
+    """Vertices by descending height (ties by index); leftmost acts last.
+
+    Every height of Q is an even shift of ``default_height(Q)``, so the word
+    depends on Q alone.
+    """
+    xi = default_height(Q)
     return tuple(sorted(Q.cd.vertices, key=lambda i: (-xi[i - 1], i)))
 
 
@@ -155,11 +159,10 @@ class IndecObject(NamedTuple):
     shift: int
 
 
-def tau_object(Q: DynkinQuiver, xi: tuple[int, ...], obj: IndecObject,
-               times: int) -> IndecObject:
+def tau_object(Q: DynkinQuiver, obj: IndecObject, times: int) -> IndecObject:
     """Iterated AR translate via knitting: a sign flip costs one shift."""
     cd = Q.cd
-    word = coxeter_word(Q, xi)
+    word = coxeter_word(Q)
     root, shift = obj
     for _ in range(abs(times)):
         v = coxeter_apply(cd, word, root, 1 if times > 0 else -1)
@@ -184,8 +187,8 @@ def _tau_orbits(Q: DynkinQuiver) -> tuple[tuple[IndecObject, ...], ...]:
     """For each vertex i, the objects tau^s(I_i) for s = 0..h-1.
 
     Knitting closes each orbit: tau^h(I_i) = I_i[-2], so these h objects and
-    the shift determine tau^s(I_i) for every integer s.  Every height of Q
-    is an even shift of ``default_height(Q)``, with the same Coxeter word.
+    the shift determine tau^s(I_i) for every integer s, at every height
+    function of Q.
     """
     cd = Q.cd
     orbits = []
@@ -194,20 +197,19 @@ def _tau_orbits(Q: DynkinQuiver) -> tuple[tuple[IndecObject, ...], ...]:
         orbit = []
         for _ in range(cd.h):
             orbit.append(obj)
-            obj = tau_object(Q, default_height(Q), obj, 1)
+            obj = tau_object(Q, obj, 1)
         assert obj == IndecObject(orbit[0].root, -2)
         orbits.append(tuple(orbit))
     return tuple(orbits)
 
 
 def happel_object(Q: DynkinQuiver, xi: tuple[int, ...], x: DeltaVertex) -> IndecObject:
-    """The object tau^((xi_i - p)/2)(I_i) attached to the vertex (i, p)."""
+    """The object tau^((xi_i - p)/2)(I_i) attached to the vertex (i, p).
+
+    xi_i and p both have the parity of eps_i, so xi_i - p is even.
+    """
     check_height(Q, xi)
     check_delta_vertex(Q.cd, x)
-    i, p = x
-    steps = xi[i - 1] - p
-    if steps % 2 != 0:
-        raise ValueError(f"xi_{i} - p must be even, got {steps}")
     return _happel_object(Q, xi, x)
 
 

@@ -1,8 +1,7 @@
 """Command-line surface: tables, single queries, graph exports, selfcheck.
 
-Exit codes: 0 success, 1 failed selfcheck, 2 bad arguments (a malformed
-RMX_SEED included), 3 unmet Dorey precondition.  All output is deterministic
-byte-for-byte for fixed arguments.
+Exit codes: 0 success, 1 failed selfcheck, 2 bad arguments, 3 unmet Dorey
+precondition.  All output is deterministic byte-for-byte for fixed arguments.
 
 Inputs are bounded, so that no request runs without limit; a larger one
 exits 2 with a message:
@@ -21,13 +20,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from rmx import ar_quiver as ar
 from rmx import denominators as dn
 from rmx import quantum_cartan as qc
-from rmx import rep_oracle as ro
 from rmx import root_system as rs
 from rmx import schur_weyl as sw
 from rmx import selfcheck
@@ -370,20 +367,10 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _check_seed() -> None:
-    """Reject a malformed RMX_SEED before any command reads it."""
-    try:
-        ro.base_seed()
-    except ValueError as exc:
-        raise CliError(
-            f"RMX_SEED must be an integer, got {os.environ['RMX_SEED']!r}") from exc
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _check_seed()
         result = args.fn(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -17,7 +17,6 @@ and every rank decision is exact.
 
 from __future__ import annotations
 
-import os
 import random
 from collections import Counter
 from dataclasses import dataclass
@@ -179,23 +178,17 @@ def ext1_dim_rep(M: QuiverRep, N: QuiverRep) -> int:
 # indecomposables
 
 
-def base_seed() -> int:
-    env = os.environ.get("RMX_SEED")
-    return int(env) if env else 0
-
-
 def indec_rep(Q: DynkinQuiver, alpha: Vec) -> QuiverRep:
     """The indecomposable representation with dimension vector alpha.
 
     A tree module with 0/1 matrices: the simple S_i at a simple root, else
     the nonsplit extension of two smaller tree modules M_beta, M_gamma over
     a split alpha = beta + gamma into positive roots, certified by
-    dim End = 1.  RMX_SEED only shuffles the order in which the splits are
-    tried (seed 0 keeps it fixed), so it changes bases, never answers.
+    dim End = 1.
     """
     if not rs.is_positive_root(Q.cd, alpha):
         raise ValueError(f"{alpha} is not a positive root")
-    return _indec_rep(Q, alpha, base_seed())
+    return _indec_rep(Q, alpha)
 
 
 def _splits(cd: rs.CartanData, alpha: Vec):
@@ -208,8 +201,8 @@ def _splits(cd: rs.CartanData, alpha: Vec):
 
 
 @lru_cache(maxsize=None)
-def _indec_rep(Q: DynkinQuiver, alpha: Vec, seed: int) -> QuiverRep:
-    """``indec_rep`` for a positive root, its splits tried in seeded order.
+def _indec_rep(Q: DynkinQuiver, alpha: Vec) -> QuiverRep:
+    """``indec_rep`` for a positive root, its splits tried in ``_splits`` order.
 
     Hom and Ext^1 between indecomposables of a Dynkin quiver are never both
     nonzero, so Ext^1(M_gamma, M_beta) = 1 exactly when the Euler form
@@ -217,16 +210,11 @@ def _indec_rep(Q: DynkinQuiver, alpha: Vec, seed: int) -> QuiverRep:
     """
     if sum(alpha) == 1:
         return simple_rep(Q, alpha.index(1) + 1)
-    splits = _splits(Q.cd, alpha)
-    if seed:
-        splits = list(splits)
-        random.Random(seed).shuffle(splits)
-    for beta, gamma in splits:
+    for beta, gamma in _splits(Q.cd, alpha):
         for sub, quot in ((beta, gamma), (gamma, beta)):
             if ar.euler_form(Q, quot, sub) != -1:
                 continue
-            rep = nonsplit_extension(_indec_rep(Q, sub, seed),
-                                     _indec_rep(Q, quot, seed))
+            rep = nonsplit_extension(_indec_rep(Q, sub), _indec_rep(Q, quot))
             if hom_dim_rep(rep, rep) == 1:
                 return rep
     raise OracleError(f"no split of {alpha} extends to an indecomposable")
@@ -339,7 +327,7 @@ def _certify_isomorphism(R: QuiverRep, out: Counter, bases: dict) -> None:
     rank of their block diagonal makes it an isomorphism.  If R and N are
     isomorphic, the determinant is a nonzero polynomial of degree |dim R| in
     the coefficients, so a draw fails with probability below 1/4 (Schwartz
-    1980; Zippel 1979).  The draws are seeded by a constant, not RMX_SEED.
+    1980; Zippel 1979).
     """
     size = sum(R.dims)
     rng = random.Random(0)

@@ -141,7 +141,7 @@ def check_tau_nakayama(max_rank: int = 8):
         label, h = cd.label(), cd.h
         Q = ar.monotone_quiver(cd)
         xi = ar.default_height(Q)
-        word = ar.coxeter_word(Q, xi)
+        word = ar.coxeter_word(Q)
         moved, knitted = set(), set()  # vectors and roots already checked
         for alpha in rs.positive_roots(cd):
             if alpha not in moved:
@@ -151,7 +151,7 @@ def check_tau_nakayama(max_rank: int = 8):
                         bad.append(f"{label}: tau^h moves {v}")
                 moved.update(walk[:h])
             if alpha not in knitted:
-                walk = _walk(lambda o: ar.tau_object(Q, xi, o, 1), IndecObject(alpha, 0),
+                walk = _walk(lambda o: ar.tau_object(Q, o, 1), IndecObject(alpha, 0),
                              2 * h - 1)
                 for o, t in zip(walk, walk[h:]):
                     if t != IndecObject(o.root, o.shift - 2):
@@ -242,39 +242,23 @@ def check_closed_forms(include_e: bool = True, max_a_rank: int = 8):
         for j in fam.domain:
             if fam.of(j) != (1, -2 * j):
                 bad.append(f"A{n}: x({j}) = {fam.of(j)}")
-    for n in (4, 5):
-        cd = rs.build_cartan("D", n)
+    families = [("D", n, n - 2) for n in (4, 5)]
+    if include_e:
+        families += [("E", n, 3) for n in (6, 7, 8)]
+    for family, n, m in families:
+        cd = rs.build_cartan(family, n)
         Q = ar.monotone_quiver(cd)
-        h = cd.h
-        star = cd.star_of(n - 1)
+        h, star = cd.h, cd.star_of(n - 1)
         fam = sw.type_a_family(cd, Q, ar.default_height(Q, -2), n, -8, 8)
         for j in fam.domain:
             i = (j - 1) % n + 1
             k = (j - i) // n
-            if i <= n - 2:
+            if i <= m:
                 want = (1, -2 * i - 2 * k * h)
-            elif i == n - 1:
-                want = (star, -3 * n + 4 - 2 * k * h)
             else:
-                want = (star, n - h - 2 * n - 2 * k * h)
+                want = (star, n - h - 2 * i - 2 * k * h)
             if fam.of(j) != want:
-                bad.append(f"D{n}: x({j}) = {fam.of(j)} != {want}")
-    if include_e:
-        for n in (6, 7, 8):
-            cd = rs.build_cartan("E", n)
-            Q = ar.monotone_quiver(cd)
-            h = cd.h
-            star = cd.star_of(n - 1)
-            fam = sw.type_a_family(cd, Q, ar.default_height(Q, -2), n, -8, 8)
-            for j in fam.domain:
-                i = (j - 1) % n + 1
-                k = (j - i) // n
-                if i <= 3:
-                    want = (1, -2 * i - 2 * k * h)
-                else:
-                    want = (star, n - h - 2 * i - 2 * k * h)
-                if fam.of(j) != want:
-                    bad.append(f"E{n}: x({j}) = {fam.of(j)} != {want}")
+                bad.append(f"{family}{n}: x({j}) = {fam.of(j)} != {want}")
     return not bad, "; ".join(bad[:3]) if bad else "A/D/E closed forms reproduced"
 
 
@@ -370,10 +354,12 @@ def check_kostant_census(max_weight: int = 5):
 def check_rep_oracle(exhaustive=("A3", "D4"), roundtrips: int = 100):
     """Euler identity over indecomposable pairs; decompose round-trips."""
     bad = []
+    quivers = []
     for label in exhaustive:
         cd = rs.build_cartan(label[0], int(label[1:]))
         Q = ar.monotone_quiver(cd)
         roots = rs.positive_roots(cd)
+        quivers.append((Q, roots))
         reps = {a: ro.indec_rep(Q, a) for a in roots}
         for a in roots:
             if ro.hom_dim_rep(reps[a], reps[a]) != 1:
@@ -384,10 +370,6 @@ def check_rep_oracle(exhaustive=("A3", "D4"), roundtrips: int = 100):
                 if h - e != ar.euler_form(Q, a, b):
                     bad.append(f"{label}: hom-ext != euler at {a},{b}")
     rng = random.Random(99)
-    quivers = []
-    for label in exhaustive:
-        cd = rs.build_cartan(label[0], int(label[1:]))
-        quivers.append((ar.monotone_quiver(cd), rs.positive_roots(cd)))
     for case in range(roundtrips):
         Q, roots = quivers[case % len(quivers)]
         picks = [rng.choice(roots) for _ in range(rng.randint(1, 4))]

@@ -25,12 +25,12 @@ def test_orientation_must_cover_each_edge_once():
 
 def test_coxeter_word_orderings():
     cd, Q, xi = _a2_setup()
-    assert ar.coxeter_word(Q, xi) == (2, 1)
+    assert ar.coxeter_word(Q) == (2, 1)
     Qm = ar.orient(cd, [(1, 2)])
-    assert ar.coxeter_word(Qm, (-2, -3)) == (1, 2)
+    assert ar.coxeter_word(Qm) == (1, 2)
     cd4 = rs.build_cartan("D", 4)
     Q4 = ar.monotone_quiver(cd4)
-    assert len(ar.coxeter_word(Q4, ar.default_height(Q4))) == 4
+    assert len(ar.coxeter_word(Q4)) == 4
 
 
 def test_invalid_height_functions_rejected():
@@ -45,7 +45,7 @@ def test_invalid_height_functions_rejected():
 
 def test_coxeter_apply_examples():
     cd, Q, xi = _a2_setup()
-    word = ar.coxeter_word(Q, xi)
+    word = ar.coxeter_word(Q)
     assert ar.coxeter_apply(cd, word, (1, 1), 1) == (0, -1)
     assert ar.coxeter_apply(cd, word, (1, 1), cd.h) == (1, 1)
     v = (1, 0)
@@ -56,8 +56,7 @@ def test_tau_power_full_period_every_type():
     for family, rank in [("A", 3), ("D", 4), ("E", 6)]:
         cd = rs.build_cartan(family, rank)
         Q = ar.sink_source_quiver(cd)
-        xi = ar.default_height(Q)
-        word = ar.coxeter_word(Q, xi)
+        word = ar.coxeter_word(Q)
         for alpha in rs.positive_roots(cd):
             assert ar.coxeter_apply(cd, word, alpha, cd.h) == alpha
 
@@ -76,13 +75,13 @@ def test_gamma_vector_examples():
 def test_tau_object_knitting_examples():
     cd, Q, xi = _a2_setup()
     obj = IndecObject((1, 1), 0)
-    assert ar.tau_object(Q, xi, obj, 1) == IndecObject((0, 1), -1)
-    assert ar.tau_object(Q, xi, obj, 0) == obj
-    stepped = ar.tau_object(Q, xi, obj, 1)
-    assert ar.tau_object(Q, xi, stepped, -1) == obj
+    assert ar.tau_object(Q, obj, 1) == IndecObject((0, 1), -1)
+    assert ar.tau_object(Q, obj, 0) == obj
+    stepped = ar.tau_object(Q, obj, 1)
+    assert ar.tau_object(Q, stepped, -1) == obj
     for alpha in rs.positive_roots(cd):
         start = IndecObject(alpha, 0)
-        assert ar.tau_object(Q, xi, start, cd.h) == IndecObject(alpha, -2)
+        assert ar.tau_object(Q, start, cd.h) == IndecObject(alpha, -2)
 
 
 def test_happel_object_examples():
@@ -103,7 +102,7 @@ def test_happel_object_matches_direct_knitting(family, rank):
         xi = ar.default_height(Q)
         for i, p in ar.delta_vertices(cd, -3 * cd.h, 3 * cd.h):
             start = IndecObject(ar.gamma_vector(Q, i), 0)
-            direct = ar.tau_object(Q, xi, start, (xi[i - 1] - p) // 2)
+            direct = ar.tau_object(Q, start, (xi[i - 1] - p) // 2)
             assert ar.happel_object(Q, xi, (i, p)) == direct
 
 
@@ -174,7 +173,7 @@ def _knit_strip(Q, xi):
         p = xi[i - 1]
         while obj.shift == 0:
             strip[(i, p)] = obj.root
-            obj = ar.tau_object(Q, xi, obj, 1)
+            obj = ar.tau_object(Q, obj, 1)
             p -= 2
     return strip
 

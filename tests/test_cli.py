@@ -2,8 +2,6 @@ import contextlib
 import hashlib
 import io
 import json
-import os
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -85,13 +83,6 @@ def test_dorey_precondition_exit_3(capsys):
     code, _, err = run_cli(capsys, "dorey", "A", "2", "--x", "1,0", "--y", "2,1")
     assert code == 3
     assert "simple pole" in err
-
-
-def test_malformed_seed_exits_2(capsys, monkeypatch):
-    monkeypatch.setenv("RMX_SEED", "abc")
-    code, out, err = run_cli(capsys, "dorey", "E", "6", "--x", "1,0", "--y", "1,2")
-    assert (code, out) == (2, "")
-    assert "RMX_SEED" in err and "'abc'" in err
 
 
 def test_dorey_exit_3_only_for_its_preconditions(monkeypatch):
@@ -353,12 +344,12 @@ _FORMATS = {
     "dorey": ("text", "json"),
     "export": ("json", "dot"),
 }
-_FAULTS = [None] * 6 + ["type", "rank", "vertex", "quiver", "format", "window", "seed"]
+_FAULTS = [None] * 6 + ["type", "rank", "vertex", "quiver", "format", "window"]
 
 
 @st.composite
 def _command_line(draw):
-    """(argv, RMX_SEED) with at most one part malformed or out of range."""
+    """A command line with at most one part malformed or out of range."""
     cmd = draw(st.sampled_from(sorted(_FORMATS)))
     fault = draw(st.sampled_from(_FAULTS))
     family = "B" if fault == "type" else draw(st.sampled_from("ADE"))
@@ -416,24 +407,16 @@ def _command_line(draw):
             argv += [flag, draw(st.sampled_from(["0", str(n + 1), "x", ""])
                                 if fault == "vertex" else st.integers(1, n).map(str))]
     fmt = draw(st.sampled_from(_FORMATS[cmd])) if fault != "format" else "xml"
-    argv += ["--format", fmt]
-    if fault == "seed":
-        return argv, draw(st.sampled_from(["abc", "1.5", "0x10", "1e3", "--"]))
-    return argv, draw(st.one_of(st.none(), st.integers(-10, 10**20).map(str)))
+    return argv + ["--format", fmt]
 
 
 @settings(max_examples=300, deadline=None)
-@given(case=_command_line())
-def test_cli_fuzz_exits_with_a_documented_code(case):
-    argv, seed = case
-    env = {k: v for k, v in os.environ.items() if k != "RMX_SEED"}
-    if seed is not None:
-        env["RMX_SEED"] = seed
+@given(argv=_command_line())
+def test_cli_fuzz_exits_with_a_documented_code(argv):
     sink = io.StringIO()
-    with mock.patch.dict(os.environ, env, clear=True), \
-            contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
         try:
             code = cli.main(argv)
         except SystemExit as exc:  # argparse rejects the command line
             code = exc.code
-    assert code in (0, 1, 2, 3), (argv, seed, code)
+    assert code in (0, 1, 2, 3), (argv, code)

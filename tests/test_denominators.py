@@ -435,15 +435,32 @@ def test_dorey_window_keeps_every_summand_sampled_e(rank):
         assert _window_keeps_every_summand(cd, x, y), (x, y)
 
 
-def test_dorey_answers_do_not_depend_on_the_seed(monkeypatch):
-    answers = []
-    for seed in ("0", "1", "12345"):
-        monkeypatch.setenv("RMX_SEED", seed)
-        answers.append([])
-        for label in ("A4", "D5", "E6"):
-            cd = rs.build_cartan(label[0], int(label[1]))
+def test_dorey_answers_do_not_depend_on_the_split_order(monkeypatch):
+    """Tree modules with one root are isomorphic (Gabriel), so trying the
+    splits alpha = beta + gamma in reverse changes bases, never answers."""
+    e6 = rs.build_cartan("E", 6)
+    e6_quiver = ar.monotone_quiver(e6)
+
+    def build():
+        mats = [ro.indec_rep(e6_quiver, a).mats for a in rs.positive_roots(e6)]
+        answers = []
+        for family, rank in (("A", 4), ("D", 5), ("E", 6)):
+            cd = rs.build_cartan(family, rank)
             Q = ar.monotone_quiver(cd)
             xi = ar.default_height(Q)
-            answers[-1] += [dn.dorey_middle_term(cd, Q, xi, x, y)
-                            for x, y in _simple_pole_pairs(cd)]
-    assert answers[0] == answers[1] == answers[2]
+            answers += [dn.dorey_middle_term(cd, Q, xi, x, y)
+                        for x, y in _simple_pole_pairs(cd)]
+        return mats, answers
+
+    splits = ro._splits
+    ro._indec_rep.cache_clear()
+    mats, answers = build()
+    with monkeypatch.context() as m:
+        m.setattr(ro, "_splits", lambda cd, alpha: reversed(list(splits(cd, alpha))))
+        ro._indec_rep.cache_clear()
+        try:
+            reversed_mats, reversed_answers = build()
+        finally:  # later tests must not see the reversed bases
+            ro._indec_rep.cache_clear()
+    assert reversed_mats != mats  # some E6 tree module has another basis
+    assert reversed_answers == answers

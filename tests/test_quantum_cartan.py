@@ -133,12 +133,12 @@ def test_coxeter_formula_rejects_a_height_function_that_does_not_fit_q():
 
 
 @lru_cache(maxsize=None)
-def _tau_power_gamma(Q, xi, i, k):
+def _tau_power_gamma(Q, i, k):
     """Reference: c^k(gamma_i), one Coxeter step at a time from gamma_i."""
     if k == 0:
         return ar.gamma_vector(Q, i)
-    word = ar.coxeter_word(Q, xi)
-    prev = _tau_power_gamma(Q, xi, i, k - 1 if k > 0 else k + 1)
+    word = ar.coxeter_word(Q)
+    prev = _tau_power_gamma(Q, i, k - 1 if k > 0 else k + 1)
     return ar.coxeter_apply(Q.cd, word, prev, 1 if k > 0 else -1)
 
 
@@ -159,7 +159,7 @@ def test_coxeter_formula_matches_recursive_power(family, rank):
                         want = 0
                         if (l + cd.eps_of(i) + cd.eps_of(j)) % 2 == 1:
                             k = (l + xi[i - 1] - xi[j - 1] - 1) // 2
-                            want = _tau_power_gamma(Q, xi, i, k)[j - 1]
+                            want = _tau_power_gamma(Q, i, k)[j - 1]
                         assert qc.ctilde_coxeter(cd, Q, xi, i, j, l) == want, (
                             Q.label(), t, i, j, l)
 

@@ -1,5 +1,4 @@
 import math
-import os
 import random
 from collections import Counter
 from fractions import Fraction
@@ -116,16 +115,14 @@ def test_decompose_round_trips_random_sums():
 
 @settings(max_examples=60, deadline=None)
 @given(data=st.data(), type_=st.sampled_from(rs.all_ade_types(6)),
-       orientation=st.integers(0, 2**32), seed=st.integers(-2**63, 2**63))
-def test_decompose_round_trips_on_any_type_orientation_and_seed(
-        data, type_, orientation, seed):
+       orientation=st.integers(0, 2**32))
+def test_decompose_round_trips_on_any_type_and_orientation(data, type_, orientation):
     cd = rs.build_cartan(*type_)
     Q = ar.random_orientation(cd, orientation)
     picks = data.draw(st.lists(st.sampled_from(rs.positive_roots(cd)),
                                min_size=1, max_size=4))
-    with mock.patch.dict(os.environ, {"RMX_SEED": str(seed)}):
-        total = ro.direct_sum([ro.indec_rep(Q, a) for a in picks])
-        assert ro.decompose(total) == Counter(picks)
+    total = ro.direct_sum([ro.indec_rep(Q, a) for a in picks])
+    assert ro.decompose(total) == Counter(picks)
 
 
 def reflection_functor(Q, i, R):
@@ -265,13 +262,12 @@ def test_euler_identity_sampled_e6():
 
 @settings(max_examples=40, deadline=None)
 @given(data=st.data(), type_=st.sampled_from(rs.all_ade_types(8)),
-       orientation=st.integers(0, 2**32), seed=st.integers(0, 2**32))
-def test_hom_minus_ext_is_the_euler_form(data, type_, orientation, seed):
+       orientation=st.integers(0, 2**32))
+def test_hom_minus_ext_is_the_euler_form(data, type_, orientation):
     cd = rs.build_cartan(*type_)
     Q = ar.random_orientation(cd, orientation)
     a, b = (data.draw(st.sampled_from(rs.positive_roots(cd))) for _ in range(2))
-    with mock.patch.dict(os.environ, {"RMX_SEED": str(seed)}):
-        Ma, Mb = ro.indec_rep(Q, a), ro.indec_rep(Q, b)
+    Ma, Mb = ro.indec_rep(Q, a), ro.indec_rep(Q, b)
     assert ro.hom_dim_rep(Ma, Mb) - ro.ext1_dim_rep(Ma, Mb) == ar.euler_form(Q, a, b)
 
 
@@ -294,23 +290,6 @@ def test_rep_validation_rejects_bad_shapes():
     for entry in (Fraction(1, 2), Fraction(1), 1.0):  # entries are ints only
         with pytest.raises(ValueError):
             ro.QuiverRep(Q, (1, 1), {(2, 1): [[entry]]})
-
-
-def test_seed_override_still_certified(monkeypatch):
-    cd, Q = _a2()
-    monkeypatch.setenv("RMX_SEED", "12345")
-    ro._indec_rep.cache_clear()
-    M = ro.indec_rep(Q, (1, 1))
-    assert ro.hom_dim_rep(M, M) == 1
-    monkeypatch.delenv("RMX_SEED")
-    ro._indec_rep.cache_clear()
-
-
-def test_the_seed_changes_some_basis():
-    cd = rs.build_cartan("E", 6)
-    Q = ar.monotone_quiver(cd)
-    assert any(ro._indec_rep(Q, a, 0).mats != ro._indec_rep(Q, a, 1).mats
-               for a in rs.positive_roots(cd))
 
 
 def test_decompose_window_drops_roots_outside_it():
@@ -384,7 +363,7 @@ def test_the_zero_representation_needs_no_draw():
 
 
 @lru_cache(maxsize=None)
-def _indec_rep_eager(Q, alpha, seed):
+def _indec_rep_eager(Q, alpha):
     """Reference: the tree-module build that lists every split first."""
     if sum(alpha) == 1:
         return ro.simple_rep(Q, alpha.index(1) + 1)
@@ -393,14 +372,12 @@ def _indec_rep_eager(Q, alpha, seed):
         gamma = tuple(a - b for a, b in zip(alpha, beta))
         if beta < gamma and rs.is_positive_root(Q.cd, gamma):
             splits.append((beta, gamma))
-    if seed:
-        random.Random(seed).shuffle(splits)
     for beta, gamma in splits:
         for sub, quot in ((beta, gamma), (gamma, beta)):
             if ar.euler_form(Q, quot, sub) != -1:
                 continue
-            rep = ro.nonsplit_extension(_indec_rep_eager(Q, sub, seed),
-                                        _indec_rep_eager(Q, quot, seed))
+            rep = ro.nonsplit_extension(_indec_rep_eager(Q, sub),
+                                        _indec_rep_eager(Q, quot))
             if ro.hom_dim_rep(rep, rep) == 1:
                 return rep
     raise AssertionError(f"no split of {alpha} extends to an indecomposable")
@@ -409,10 +386,9 @@ def _indec_rep_eager(Q, alpha, seed):
 @pytest.mark.parametrize("type_", [("A", 4), ("D", 5), ("E", 6)],
                          ids=["A4", "D5", "E6"])
 @pytest.mark.parametrize("orientation", ["monotone", "sink_source"])
-@pytest.mark.parametrize("seed", [0, 7])
-def test_lazy_split_search_builds_what_the_eager_one_did(type_, orientation, seed):
+def test_lazy_split_search_builds_what_the_eager_one_did(type_, orientation):
     cd = rs.build_cartan(*type_)
     Q = getattr(ar, f"{orientation}_quiver")(cd)
     for alpha in rs.positive_roots(cd):
-        lazy, eager = ro._indec_rep(Q, alpha, seed), _indec_rep_eager(Q, alpha, seed)
+        lazy, eager = ro.indec_rep(Q, alpha), _indec_rep_eager(Q, alpha)
         assert (lazy.dims, lazy.mats) == (eager.dims, eager.mats)

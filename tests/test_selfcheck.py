@@ -37,8 +37,8 @@ def test_a_wrong_tau_step_fails_tau_nakayama(monkeypatch):
     assert sc.check_tau_nakayama(3)[0]
     orig = ar.tau_object
 
-    def one_wrong_step(Q, xi, obj, times):
-        out = orig(Q, xi, obj, times)
+    def one_wrong_step(Q, obj, times):
+        out = orig(Q, obj, times)
         if Q.cd.label() == "A3" and times == 1 and obj.root == (0, 1, 0):
             return IndecObject(out.root, out.shift - 1)
         return out
