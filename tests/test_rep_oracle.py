@@ -292,6 +292,22 @@ def test_rep_validation_rejects_bad_shapes():
             ro.QuiverRep(Q, (1, 1), {(2, 1): [[entry]]})
 
 
+def test_the_split_order_changes_some_basis(monkeypatch):
+    cd = rs.build_cartan("E", 6)
+    Q = ar.monotone_quiver(cd)
+    splits = ro._splits
+    ro._indec_rep.cache_clear()
+    mats = [ro.indec_rep(Q, a).mats for a in rs.positive_roots(cd)]
+    with monkeypatch.context() as m:
+        m.setattr(ro, "_splits", lambda cd, alpha: reversed(list(splits(cd, alpha))))
+        ro._indec_rep.cache_clear()
+        try:
+            reversed_mats = [ro.indec_rep(Q, a).mats for a in rs.positive_roots(cd)]
+        finally:  # later tests must not see the reversed bases
+            ro._indec_rep.cache_clear()
+    assert reversed_mats != mats
+
+
 def test_decompose_window_drops_roots_outside_it():
     # the AR quiver is S1 -> M_(1,1) -> S2: the window between S1 and S2
     # keeps M_(1,1), and the one between S1 and M_(1,1) keeps nothing
