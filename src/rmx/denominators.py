@@ -159,6 +159,17 @@ def monomial_leq(cd: CartanData, m: Monomial, m2: Monomial) -> bool:
 def common_heart(cd: CartanData, x: DeltaVertex, y: DeltaVertex):
     """(Q, lo, root_x, root_y): x and y as modules at the least height
     function lo whose heart holds both, or None if no height function does.
+    """
+    lo = least_height(cd, x, y)
+    if lo is None:
+        return None
+    Q = heart_quiver(cd, lo)
+    return Q, lo, ar.happel_object(Q, lo, x).root, ar.happel_object(Q, lo, y).root
+
+
+def least_height(cd: CartanData, x: DeltaVertex,
+                 y: DeltaVertex) -> tuple[int, ...] | None:
+    """lo, the least height function whose heart holds x and y, or None.
 
     xi fixes its quiver, and its modules are the (k, q) with
     xi_{k*} - h + 2 <= q <= xi_k, so xi places x = (i, p) and y = (j, r)
@@ -167,16 +178,22 @@ def common_heart(cd: CartanData, x: DeltaVertex, y: DeltaVertex):
     d(j*, v)).  Dorey's rule reads the middle term off any such heart.
     """
     (i, p), (j, r) = x, y
-    d, h = cd.distance, cd.h
-    i_star, j_star = cd.star_of(i), cd.star_of(j)
-    lo = tuple(max(p - d[i - 1][v], r - d[j - 1][v]) for v in range(cd.rank))
-    hi = tuple(min(p + h - 2 + d[i_star - 1][v], r + h - 2 + d[j_star - 1][v])
-               for v in range(cd.rank))
-    if any(a > b for a, b in zip(lo, hi)):
+    d, top = cd.distance, cd.h - 2
+    lo = tuple(max(p - a, r - b) for a, b in zip(d[i - 1], d[j - 1]))
+    star_d = zip(d[cd.star_of(i) - 1], d[cd.star_of(j) - 1])
+    if any(lo_v > min(p + top + a, r + top + b)  # lo_v > hi_v
+           for lo_v, (a, b) in zip(lo, star_d)):
         return None
+    return lo
+
+
+def heart_quiver(cd: CartanData, lo: tuple[int, ...]) -> DynkinQuiver:
+    """The quiver whose arrows run down the height function lo, checked to
+    fit it."""
     Q = ar.orient(cd, [(u, v) if lo[u - 1] > lo[v - 1] else (v, u)
                        for u, v in cd.edges])
-    return Q, lo, ar.happel_object(Q, lo, x).root, ar.happel_object(Q, lo, y).root
+    ar.check_height(Q, lo)
+    return Q
 
 
 def dorey_middle_term(cd: CartanData, Q: DynkinQuiver, xi, x: DeltaVertex,

@@ -5,11 +5,12 @@ intertwining linear system, whose primitive integer kernel vectors are
 certified as intertwiners.  Indecomposables are tree modules with 0/1
 matrices, built as nonsplit extensions of smaller ones and certified by
 dim End = 1 (every exceptional module is a tree module: Ringel 1998).
-Krull-Schmidt decomposition is solved from Hom counts over the roots at most
-dim R (for the middle term of a nonsplit extension of indecomposables, only
-the roots strictly between them in the AR quiver with a nonzero map from the
-sub and to the quotient) and proved by an explicit isomorphism from the
-claimed direct sum.
+Krull-Schmidt decomposition is solved from Hom counts over candidate roots
+and proved by an explicit isomorphism from the claimed direct sum.  The
+candidates are the roots g <= dim R for which dim R - g is a sum of
+candidates; for the middle term of a nonsplit extension of indecomposables
+with roots x and y, only the roots strictly between them in the AR quiver
+with <x, g> > 0 and <g, y> > 0.
 
 Floating point is deliberately impossible here: every matrix entry is an int
 and every rank decision is exact.
@@ -275,25 +276,36 @@ def decompose(R: QuiverRep, between: tuple[Vec, Vec] | None = None) -> Counter:
     the solve computed (``_certify_isomorphism``), that is invertible at
     every vertex.  A wrong answer raises ``OracleError``.
 
-    ``between = (x, y)``, the roots of two indecomposables X and Y, keeps
-    only the roots g strictly between x and y in height with <x, g> > 0 and
-    <g, y> > 0.  That is safe for the middle term E of a nonsplit
-    0 -> X -> E -> Y -> 0.  Write E = Z + E' with Z indecomposable.  If
-    X -> E has zero component in Z, then X lies in E', Y = Z + E'/X forces
-    E' = X and the sequence splits; so Hom(X, Z) != 0, that is <x, z> > 0,
-    and dually Hom(Z, Y) != 0.  Z = X or Z = Y would make that map an
-    isomorphism (End = k) and split the sequence too.  Nonzero maps between
-    distinct indecomposables climb the AR quiver, so Z lies strictly between
-    X and Y.
+    The candidates g pass four filters, cheapest first: the height window,
+    when ``between`` is given; g <= dim R; the Euler-form tests, when
+    ``between`` is given; and completion: dim R - g is a sum of the
+    remaining candidates, repeats allowed (``_completing``), since the roots
+    of the summands sum to dim R.  A filter that dropped a true summand
+    would fail the rebuild of dim R or the isomorphism and raise, so none
+    of them is trusted either.
+
+    ``between = (x, y)`` takes the roots of two indecomposables X and Y and
+    keeps only the roots g strictly between x and y in height with
+    <x, g> > 0 and <g, y> > 0.  That is safe for the middle term E of a
+    nonsplit 0 -> X -> E -> Y -> 0.  Write E = Z + E' with Z
+    indecomposable.  If X -> E has zero component in Z, then X lies in E',
+    Y = Z + E'/X forces E' = X and the sequence splits; so Hom(X, Z) != 0,
+    that is <x, z> > 0, and dually Hom(Z, Y) != 0.  Z = X or Z = Y would
+    make that map an isomorphism (End = k) and split the sequence too.
+    Nonzero maps between distinct indecomposables climb the AR quiver, so Z
+    lies strictly between X and Y.
     """
     Q = R.Q
     strip = ar.module_strip(Q, ar.default_height(Q))
     height = {g: p for (_, p), g in strip.items()}
-    candidates = [g for g in height if all(a <= b for a, b in zip(g, R.dims))]
-    if between is not None:
-        x, y = between
-        candidates = [g for g in candidates if height[x] < height[g] < height[y]
-                      and ar.euler_form(Q, x, g) > 0 and ar.euler_form(Q, g, y) > 0]
+    x, y = between or (None, None)
+    candidates = [
+        g for g in height
+        if (between is None or height[x] < height[g] < height[y])
+        and all(a <= b for a, b in zip(g, R.dims))
+        and (between is None
+             or ar.euler_form(Q, x, g) > 0 and ar.euler_form(Q, g, y) > 0)]
+    candidates = _completing(candidates, R.dims)
     out: Counter = Counter()
     bases = {}
     for g in sorted(candidates, key=lambda g: (-height[g], g)):
@@ -312,6 +324,41 @@ def decompose(R: QuiverRep, between: tuple[Vec, Vec] | None = None) -> Counter:
     if sum(R.dims):
         _certify_isomorphism(R, out, bases)
     return out
+
+
+def _completing(candidates: list[Vec], total: Vec) -> list[Vec]:
+    """The candidates g (each at most ``total``) for which total - g is a
+    sum of candidates, repeats allowed.
+
+    A memoised depth-first search keyed on the remaining vector, trying the
+    largest candidates first; each level takes at least one off the sum, so
+    the depth is at most sum(total).  A vector is packed into one int, a
+    field per vertex whose top bit is a guard: with every guard of v set,
+    subtracting c borrows from no neighbouring field, and the guard of a
+    field survives exactly when that entry of c is at most the one of v.
+    """
+    width = max(total).bit_length() + 1
+
+    def pack(v: Vec) -> int:
+        return sum(a << (width * k) for k, a in enumerate(v))
+
+    guard = pack([1 << (width - 1)] * len(total))
+    packed = {g: pack(g) for g in candidates}
+    parts = [packed[g] for g in sorted(candidates, key=sum, reverse=True)]
+    memo = {0: True}
+
+    def is_sum(v: int) -> bool:
+        if v not in memo:
+            memo[v] = False
+            for c in parts:
+                rest = (v | guard) - c
+                if rest & guard == guard and is_sum(rest ^ guard):
+                    memo[v] = True
+                    break
+        return memo[v]
+
+    full = pack(total)
+    return [g for g in candidates if is_sum(full - packed[g])]
 
 
 _ISO_DRAWS = 8

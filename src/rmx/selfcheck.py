@@ -12,6 +12,7 @@ import json
 import random
 import time
 from collections import Counter
+from itertools import islice, product, repeat
 
 from rmx import ar_quiver as ar
 from rmx import denominators as dn
@@ -170,29 +171,33 @@ def check_tau_nakayama(max_rank: int = 8):
     return not bad, "; ".join(bad[:3]) if bad else "tau and shift structure exact"
 
 
+def _placed(cd, pairs):
+    """(x, y, ``common_heart(cd, x, y)``) for the pairs that have one; the
+    quiver of each least height function lo is built and checked once."""
+    quivers = {}
+    for x, y in pairs:
+        lo = dn.least_height(cd, x, y)
+        if lo is None:
+            continue
+        if lo not in quivers:
+            quivers[lo] = dn.heart_quiver(cd, lo)
+        Q = quivers[lo]
+        yield x, y, (Q, lo, ar._happel_object(Q, lo, x).root,
+                     ar._happel_object(Q, lo, y).root)
+
+
 def _ext_oracle_pairs(cd, window: int):
     """All ordered vertex pairs in the window that admit a common heart."""
     verts = ar.delta_vertices(cd, -window, window)
-    for x in verts:
-        for y in verts:
-            placement = dn.common_heart(cd, x, y)
-            if placement is not None:
-                yield x, y, placement
+    return _placed(cd, product(verts, repeat=2))
 
 
 def _sampled_pairs(cd, count: int):
     """``count`` seeded random vertex pairs that admit a common heart."""
     rng = random.Random(2024)
     verts = ar.delta_vertices(cd, -2 * cd.h, 2 * cd.h)
-    found = 0
-    while found < count:
-        x = rng.choice(verts)
-        y = rng.choice(verts)
-        placement = dn.common_heart(cd, x, y)
-        if placement is None:
-            continue
-        found += 1
-        yield x, y, placement
+    draws = ((rng.choice(verts), rng.choice(verts)) for _ in repeat(None))
+    return islice(_placed(cd, draws), count)
 
 
 def check_ext_oracle(labels=("A3", "D4"), e6_samples: int = 0):

@@ -1,6 +1,7 @@
 import math
 import random
 from collections import Counter
+from contextlib import contextmanager
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rmx import ar_quiver as ar
+from rmx import denominators as dn
 from rmx import linalg as la
 from rmx import rep_oracle as ro
 from rmx import root_system as rs
@@ -123,6 +125,96 @@ def test_decompose_round_trips_on_any_type_and_orientation(data, type_, orientat
                                min_size=1, max_size=4))
     total = ro.direct_sum([ro.indec_rep(Q, a) for a in picks])
     assert ro.decompose(total) == Counter(picks)
+
+
+def _e6_middle_term():
+    """E6 at (4, 1), (2, 5): a simple pole whose middle term has three
+    summands, as (E, root_x, root_y)."""
+    cd = rs.build_cartan("E", 6)
+    Qp, _, root_x, root_y = dn.common_heart(cd, (4, 1), (2, 5))
+    E = ro.nonsplit_extension(ro.indec_rep(Qp, root_x), ro.indec_rep(Qp, root_y))
+    return E, root_x, root_y
+
+
+@contextmanager
+def _completion_calls():
+    """Record each ``_completing`` call as (candidates, total, kept)."""
+    calls = []
+    completing = ro._completing
+
+    def recording(candidates, total):
+        calls.append((candidates, total, completing(candidates, total)))
+        return calls[-1][2]
+
+    with mock.patch.object(ro, "_completing", recording):
+        yield calls
+
+
+def test_completion_keeps_exactly_the_summands_of_an_e6_middle_term():
+    E, root_x, root_y = _e6_middle_term()
+    summands = {(1, 1, 0, 0, 0, 0), (0, 1, 1, 0, 0, 1), (0, 1, 1, 1, 1, 0)}
+    with _completion_calls() as calls:
+        assert ro.decompose(E, between=(root_x, root_y)) == Counter(dict.fromkeys(summands, 1))
+    [(candidates, total, kept)] = calls
+    assert total == E.dims and set(candidates) > summands
+    assert set(kept) == summands
+
+
+@pytest.mark.parametrize("between", [False, True], ids=["whole", "window"])
+@pytest.mark.parametrize("dropped", [(1, 1, 0, 0, 0, 0), (0, 1, 1, 0, 0, 1),
+                                     (0, 1, 1, 1, 1, 0)])
+def test_a_completion_filter_that_drops_a_summand_raises(dropped, between):
+    E, root_x, root_y = _e6_middle_term()
+    completing = ro._completing
+
+    def dropping(candidates, total):
+        return [g for g in completing(candidates, total) if g != dropped]
+
+    with mock.patch.object(ro, "_completing", dropping):
+        with pytest.raises(ro.OracleError):
+            ro.decompose(E, between=(root_x, root_y) if between else None)
+
+
+def test_completion_is_a_sum_of_candidates_with_repeats():
+    # (2, 1) = 2 (1, 0) + (0, 1); (0, 2) needs (0, 1) twice; nothing
+    # completes (1, 1) in (2, 2) without (1, 1) itself
+    assert ro._completing([(1, 0), (0, 1)], (2, 1)) == [(1, 0), (0, 1)]
+    assert ro._completing([(1, 0), (0, 1), (1, 1)], (2, 2)) == [(1, 0), (0, 1), (1, 1)]
+    assert ro._completing([(1, 0), (1, 1)], (2, 2)) == [(1, 1)]
+    assert ro._completing([(1, 1)], (2, 1)) == []
+    assert ro._completing([], (0, 0)) == []
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), type_=st.sampled_from([("A", 4), ("D", 5), ("E", 6)]),
+       orientation=st.integers(0, 2**32))
+def test_completion_keeps_every_summand_of_a_direct_sum(data, type_, orientation):
+    cd = rs.build_cartan(*type_)
+    Q = ar.random_orientation(cd, orientation)
+    picks = data.draw(st.lists(st.sampled_from(rs.positive_roots(cd)),
+                               min_size=1, max_size=5))
+    total = ro.direct_sum([ro.indec_rep(Q, a) for a in picks])
+    with _completion_calls() as calls:
+        assert ro.decompose(total) == Counter(picks)
+    [(_, _, kept)] = calls
+    assert set(picks) <= set(kept)
+
+
+def test_e6_simple_poles_stay_inside_their_hom_basis_budget():
+    # every E6 simple pole with x at heights 0-1, tree modules built from
+    # scratch: 320 hom_basis calls (682 before the completion filter)
+    cd = rs.build_cartan("E", 6)
+    Q = ar.monotone_quiver(cd)
+    xi = ar.default_height(Q)
+    poles = [(x, y) for x in ar.delta_vertices(cd, 0, 1)
+             for y in ar.delta_vertices(cd, 0, cd.h + 1)
+             if dn.pole_order(cd, x, y) == 1]
+    ro._indec_rep.cache_clear()
+    with mock.patch.object(ro, "hom_basis", wraps=ro.hom_basis) as hom_basis:
+        for x, y in poles:
+            dn.dorey_middle_term(cd, Q, xi, x, y)
+    assert len(poles) == 110
+    assert hom_basis.call_count <= 330
 
 
 def reflection_functor(Q, i, R):

@@ -4,10 +4,16 @@ The checks compare in bulk and compute each shared fact once; these
 mutations show that one wrong knitting entry, one wrong single step or one
 wrong Hom count still reaches the verdict.  Each test first runs the check
 unpatched, which also fills the caches the patched function feeds, so the
-mutation cannot outlive the test.
+mutation cannot outlive the test.  The pair enumerations behind
+ext-oracle build each quiver once per least height function; they must
+still place every pair as ``common_heart`` does.
 """
 
+import random
+from itertools import product
+
 from rmx import ar_quiver as ar
+from rmx import denominators as dn
 from rmx import rep_oracle as ro
 from rmx import root_system as rs
 from rmx import selfcheck as sc
@@ -78,3 +84,25 @@ def test_one_wrong_hom_count_fails_ext_oracle(monkeypatch):
     passed, detail = sc.check_ext_oracle(("A3",))
     assert not passed
     assert detail.startswith(f"A3: hom mismatch at {x},{y}")
+
+
+def test_the_window_pairs_are_the_common_heart_placements_in_order():
+    cd = rs.build_cartan("D", 4)
+    verts = ar.delta_vertices(cd, -2 * cd.h, 2 * cd.h)
+    expected = [(x, y, placement) for x, y in product(verts, repeat=2)
+                if (placement := dn.common_heart(cd, x, y)) is not None]
+    assert list(sc._ext_oracle_pairs(cd, 2 * cd.h)) == expected
+
+
+def test_the_sampled_pairs_draw_as_the_reference_loop_does():
+    # x, then y, from Random(2024) until enough pairs are placed
+    cd = rs.build_cartan("E", 6)
+    rng = random.Random(2024)
+    verts = ar.delta_vertices(cd, -2 * cd.h, 2 * cd.h)
+    expected = []
+    while len(expected) < 60:
+        x, y = rng.choice(verts), rng.choice(verts)
+        placement = dn.common_heart(cd, x, y)
+        if placement is not None:
+            expected.append((x, y, placement))
+    assert list(sc._sampled_pairs(cd, 60)) == expected
