@@ -8,7 +8,9 @@ never tabulated per type.
 
 ``_tau_orbits`` is the one knitting table: one tau period of each injective
 I_i per quiver Q.  The module strip, the Happel maps and the Coxeter-formula
-``quantum_cartan.ctilde_coxeter`` read it at any height function of Q.
+``quantum_cartan.ctilde_coxeter`` read it at any height function of Q.  A
+Coxeter step is one ``root_system.reflect_word`` call over the whole Coxeter
+word, on one list in place; that is the only reflection routine used here.
 """
 
 from __future__ import annotations
@@ -126,11 +128,11 @@ def coxeter_word(Q: DynkinQuiver) -> tuple[int, ...]:
 
 def coxeter_apply(cd: CartanData, word: tuple[int, ...], v: Vec, times: int) -> Vec:
     """Apply tau^times for the Coxeter element given by ``word``."""
+    w = list(v)
+    letters = word[::-1] if times > 0 else word
     for _ in range(abs(times)):
-        seq = reversed(word) if times > 0 else word
-        for i in seq:
-            v = rs.reflect(cd, i, v)
-    return v
+        rs.reflect_word(cd, letters, w)
+    return tuple(w)
 
 
 def gamma_vector(Q: DynkinQuiver, i: int) -> Vec:
@@ -159,19 +161,25 @@ class IndecObject(NamedTuple):
     shift: int
 
 
+def _knit(Q: DynkinQuiver, obj: IndecObject, times: int):
+    """Yield tau^s(obj) for s = 1..|times|, with tau^-1 when times < 0: one
+    Coxeter step each, and a sign flip costs one shift."""
+    word = coxeter_word(Q)
+    letters, flip = (word[::-1], -1) if times > 0 else (word, 1)
+    v, shift = list(obj.root), obj.shift
+    for _ in range(abs(times)):
+        rs.reflect_word(Q.cd, letters, v)
+        if min(v) < 0:
+            v = [-c for c in v]
+            shift += flip
+        yield IndecObject(tuple(v), shift)
+
+
 def tau_object(Q: DynkinQuiver, obj: IndecObject, times: int) -> IndecObject:
     """Iterated AR translate via knitting: a sign flip costs one shift."""
-    cd = Q.cd
-    word = coxeter_word(Q)
-    root, shift = obj
-    for _ in range(abs(times)):
-        v = coxeter_apply(cd, word, root, 1 if times > 0 else -1)
-        if all(c >= 0 for c in v):
-            root = v
-        else:
-            root = tuple(-c for c in v)
-            shift += -1 if times > 0 else +1
-    return IndecObject(root, shift)
+    for obj in _knit(Q, obj, times):
+        pass
+    return obj
 
 
 def check_delta_vertex(cd: CartanData, x: DeltaVertex) -> None:
@@ -190,16 +198,14 @@ def _tau_orbits(Q: DynkinQuiver) -> tuple[tuple[IndecObject, ...], ...]:
     the shift determine tau^s(I_i) for every integer s, at every height
     function of Q.
     """
-    cd = Q.cd
     orbits = []
-    for i in cd.vertices:
-        obj = IndecObject(gamma_vector(Q, i), 0)
-        orbit = []
-        for _ in range(cd.h):
-            orbit.append(obj)
-            obj = tau_object(Q, obj, 1)
-        assert obj == IndecObject(orbit[0].root, -2)
-        orbits.append(tuple(orbit))
+    for i in Q.cd.vertices:
+        start = IndecObject(gamma_vector(Q, i), 0)
+        orbit = (start, *_knit(Q, start, Q.cd.h))
+        if orbit[-1] != (start.root, -2):
+            raise RuntimeError(f"knitting does not close: tau^h(I_{i}) = "
+                               f"{orbit[-1]}, not I_{i}[-2]")
+        orbits.append(orbit[:-1])
     return tuple(orbits)
 
 
@@ -228,7 +234,9 @@ def _orbit_index(Q: DynkinQuiver):
     for i, orbit in zip(Q.cd.vertices, _tau_orbits(Q)):
         for s, obj in enumerate(orbit):
             key = (obj.root, obj.shift % 2)
-            assert key not in index
+            if key in index:
+                raise RuntimeError(f"{obj} and the entry at {index[key]} share "
+                                   "a root and shift parity")
             index[key] = (i, s, obj.shift)
     return index
 

@@ -164,7 +164,9 @@ def common_heart(cd: CartanData, x: DeltaVertex, y: DeltaVertex):
     if lo is None:
         return None
     Q = heart_quiver(cd, lo)
-    return Q, lo, ar.happel_object(Q, lo, x).root, ar.happel_object(Q, lo, y).root
+    ar.check_delta_vertex(cd, x)
+    ar.check_delta_vertex(cd, y)
+    return Q, lo, ar._happel_object(Q, lo, x).root, ar._happel_object(Q, lo, y).root
 
 
 def least_height(cd: CartanData, x: DeltaVertex,
@@ -217,10 +219,12 @@ def dorey_middle_term(cd: CartanData, Q: DynkinQuiver, xi, x: DeltaVertex,
             f"pole order is {order}, Dorey data needs a simple pole")
     (i, p), (j, r) = x, y
     if r - p == cd.h:
-        assert j == cd.star_of(i), "simple pole at distance h forces j = i*"
+        if j != cd.star_of(i):
+            raise RuntimeError(f"a simple pole at distance h forces j = i*, "
+                               f"got {x}, {y}")
         return Monomial.unit()
     Qp, lo, root_x, root_y = common_heart(cd, x, y)
     middle = ro.nonsplit_extension(ro.indec_rep(Qp, root_x), ro.indec_rep(Qp, root_y))
     parts = ro.decompose(middle, between=(root_x, root_y))
-    return Monomial.from_dict({ar.happel_inverse(Qp, lo, IndecObject(delta, 0)): mult
+    return Monomial.from_dict({ar._happel_inverse(Qp, lo, IndecObject(delta, 0)): mult
                                for delta, mult in parts.items()})

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
-from operator import add
+from operator import add, mul
 
 from rmx import ar_quiver as ar  # imports this module too; used at call time
 from rmx.root_system import CartanData, Vec
@@ -107,9 +107,9 @@ def ctilde_coxeter_table(cd: CartanData, Q, xi, L: int) -> CTildeTable:
                for root, shift in orbit] for orbit in ar._tau_orbits(Q)]
     values = tuple(
         tuple(
-            tuple(0 if (l + eps[i] + eps[j] + 1) % 2
-                  else powers[i][(l + xi[i] - xi[j] - 1) // 2 % h][j]
-                  for j in range(n))
+            tuple([0 if (l + eps[i] + eps[j] + 1) % 2
+                   else powers[i][(l + xi[i] - xi[j] - 1) // 2 % h][j]
+                   for j in range(n)])
             for i in range(n))
         for l in range(1, L + 1))
     return CTildeTable(cd=cd, L=L, values=values)
@@ -121,6 +121,11 @@ def rational_inversion_residual(cd: CartanData, L: int, z0):
     Returns (max_abs_residual, tail_bound) as Fractions; the bound majorizes
     the dropped tail using the 2h-periodicity of the coefficients, so the
     residual must come in under it for a correct table.
+
+    With z0 = p/q in lowest terms, the truncated inverse S is T / q^L for
+    the integer matrix T = sum_l ct(l) p^l q^(L-l), and C(z0) has diagonal
+    (p^2 + q^2)/(pq); so every entry of C(z0) S - Id is an integer over the
+    one denominator p q^(L+1), and only the results are Fractions.
     """
     from fractions import Fraction
 
@@ -129,36 +134,27 @@ def rational_inversion_residual(cd: CartanData, L: int, z0):
         raise ValueError("sample point must satisfy 0 < |z0| <= 1/4")
     if L < 4 * cd.h:
         raise ValueError("need L >= 4h for a useful tail bound")
-    n = cd.rank
-    t = ctilde_table(cd, L)
-    C = [
-        [z0 + 1 / z0 if i == j else Fraction(cd.c(i + 1, j + 1))
-         for j in range(n)]
-        for i in range(n)
-    ]
-    S = [[Fraction(0)] * n for _ in range(n)]
-    zpow = Fraction(1)
-    for l in range(1, L + 1):
-        zpow *= z0
-        layer = t.values[l - 1]
-        for i in range(n):
-            for j in range(n):
-                S[i][j] += layer[i][j] * zpow
-    resid = Fraction(0)
+    p, q = z0.numerator, z0.denominator
+    n, adj = cd.rank, cd.adjacency0
+    values = ctilde_table(cd, L).values
+    weights = [p ** l * q ** (L - l) for l in range(1, L + 1)]
+    # T[i][j] = sum over l of ct_ij(l) p^l q^(L-l)
+    T = [[sum(map(mul, series, weights)) for series in zip(*rows)]
+         for rows in zip(*values)]
+    diag, pq, one = p * p + q * q, p * q, p * q ** (L + 1)
+    resid = 0
     for i in range(n):
         for j in range(n):
-            acc = sum((C[i][k] * S[k][j] for k in range(n)), Fraction(0))
+            num = diag * T[i][j] - pq * sum(T[k][j] for k in adj[i])
             if i == j:
-                acc -= 1
-            resid = max(resid, abs(acc))
-    cmax = max(
-        abs(t.values[l][i][j]) for l in range(L) for i in range(n) for j in range(n)
-    )
-    row_norm = max(
-        sum(abs(C[i][k]) for k in range(n)) for i in range(n)
-    )
-    tail = row_norm * cmax * abs(z0) ** (L + 1) / (1 - abs(z0))
-    return resid, tail
+                num -= one
+            resid = max(resid, abs(num))
+    cmax = max(abs(c) for layer in values for row in layer for c in row)
+    degree = max(len(nbrs) for nbrs in adj)
+    # row norm (p^2 + q^2)/(|p| q) + degree, times cmax |z0|^(L+1) / (1 - |z0|)
+    tail = Fraction((diag + degree * abs(pq)) * cmax * abs(p) ** L,
+                    q ** (L + 1) * (q - abs(p)))
+    return Fraction(resid, abs(one)), tail
 
 
 def check_ctilde_identities(t: CTildeTable) -> list[str]:
@@ -169,33 +165,38 @@ def check_ctilde_identities(t: CTildeTable) -> list[str]:
         raise ValueError(f"table truncated at {t.L}, need at least 2h = {2 * h}")
     bad: list[str] = []
     n = cd.rank
-    autos = _diagram_automorphisms(cd)
-    for i in cd.vertices:
-        for j in cd.vertices:
+    # zero-based from here on; L >= 2h and the 4h table below keep every
+    # index inside its table
+    ct = t.values
+    star = [s - 1 for s in cd.star]
+    autos = [[s - 1 for s in sigma] for sigma in _diagram_automorphisms(cd)]
+    for i in range(n):
+        for j in range(n):
             for l in range(1, 2 * h + 1):
-                v = t.value(i, j, l)
-                if v != t.value(j, i, l):
-                    bad.append(f"(1) symmetry fails at ({i},{j},{l})")
+                layer = ct[l - 1]
+                v = layer[i][j]
+                if v != layer[j][i]:
+                    bad.append(f"(1) symmetry fails at ({i + 1},{j + 1},{l})")
                 for sigma in autos:
-                    if v != t.value(sigma[i - 1], sigma[j - 1], l):
-                        bad.append(f"(2) automorphism invariance fails at ({i},{j},{l})")
-                if l <= 2 * h - 1 and v != -t.value(i, j, 2 * h - l):
-                    bad.append(f"(4) ct(l) = -ct(2h-l) fails at ({i},{j},{l})")
-                if 1 <= l <= h - 1 and v != t.value(j, cd.star_of(i), h - l):
-                    bad.append(f"(5) ct_ij(l) = ct_(j,i*)(h-l) fails at ({i},{j},{l})")
+                    if v != layer[sigma[i]][sigma[j]]:
+                        bad.append(f"(2) automorphism invariance fails at ({i + 1},{j + 1},{l})")
+                if l <= 2 * h - 1 and v != -ct[2 * h - l - 1][i][j]:
+                    bad.append(f"(4) ct(l) = -ct(2h-l) fails at ({i + 1},{j + 1},{l})")
+                if 1 <= l <= h - 1 and v != ct[h - l - 1][j][star[i]]:
+                    bad.append(f"(5) ct_ij(l) = ct_(j,i*)(h-l) fails at ({i + 1},{j + 1},{l})")
                 if l % h == 0 and v != 0:
-                    bad.append(f"(6) ct(kh) = 0 fails at ({i},{j},{l})")
+                    bad.append(f"(6) ct(kh) = 0 fails at ({i + 1},{j + 1},{l})")
                 if 1 <= l <= h - 1 and v < 0:
-                    bad.append(f"(7) ct(l) >= 0 on 1..h-1 fails at ({i},{j},{l})")
+                    bad.append(f"(7) ct(l) >= 0 on 1..h-1 fails at ({i + 1},{j + 1},{l})")
                 if h + 1 <= l <= 2 * h - 1 and v > 0:
-                    bad.append(f"(8) ct(l) <= 0 on h+1..2h-1 fails at ({i},{j},{l})")
+                    bad.append(f"(8) ct(l) <= 0 on h+1..2h-1 fails at ({i + 1},{j + 1},{l})")
     # (3) periodicity needs one extra period; recompute a longer table.
-    t2 = ctilde_table(cd, 4 * h)
-    for i in cd.vertices:
-        for j in cd.vertices:
-            for l in range(1, 2 * h + 1):
-                if t.value(i, j, l) != t2.value(i, j, l + 2 * h):
-                    bad.append(f"(3) period 2h fails at ({i},{j},{l})")
+    ct2 = ctilde_table(cd, 4 * h).values
+    for i in range(n):
+        for j in range(n):
+            for l in range(2 * h):
+                if ct[l][i][j] != ct2[l + 2 * h][i][j]:
+                    bad.append(f"(3) period 2h fails at ({i + 1},{j + 1},{l + 1})")
     return bad
 
 

@@ -15,6 +15,10 @@ constructing ``CartanData`` directly.  There is one object per
 O(1); the many caches keyed on a ``CartanData`` never walk its matrix.
 Pickling and copying go back through ``build_cartan`` and return the
 interned object.
+
+``reflect_word`` is the one reflection routine: it applies a word of simple
+reflections to a list in place.  ``reflect`` is its one-letter case, and the
+Coxeter steps of ``ar_quiver`` apply a whole Coxeter word per call.
 """
 
 from __future__ import annotations
@@ -62,7 +66,8 @@ class CartanData:
 
     The fields are the interning key.  Everything else hangs off the
     instance and is computed once: ``edges`` (the unordered adjacency),
-    ``adjacency`` (the neighbours of each vertex), ``distance`` (the graph
+    ``adjacency`` (the neighbours of each vertex), ``adjacency0`` (the same,
+    zero-based, for ``reflect_word``), ``distance`` (the graph
     distances), ``cartan`` (the symmetric Cartan matrix), ``eps`` (the
     parity function: eps_i != eps_j for adjacent i, j), ``h`` (the Coxeter
     number) and ``star`` (the involution i -> i* with w0(alpha_i) =
@@ -90,6 +95,11 @@ class CartanData:
             + tuple(u for u, v in self.edges if v == i)
             for i in self.vertices
         )
+
+    @cached_property
+    def adjacency0(self) -> tuple[tuple[int, ...], ...]:
+        """``adjacency0[i - 1]``: the zero-based indices of the neighbours of i."""
+        return tuple(tuple(j - 1 for j in nbrs) for nbrs in self.adjacency)
 
     @cached_property
     def distance(self) -> tuple[Vec, ...]:
@@ -172,25 +182,29 @@ def simple_root(cd: CartanData, i: int) -> Vec:
     return tuple(1 if j == i else 0 for j in cd.vertices)
 
 
-def _pairing(cd: CartanData, i: int, v: Vec) -> int:
-    # (v, alpha_i) = 2 v_i - sum of v_j over the neighbours j of i
-    p = 2 * v[i - 1]
-    for j in cd.adjacency[i - 1]:
-        p -= v[j - 1]
-    return p
+def reflect_word(cd: CartanData, word, v: list[int]) -> None:
+    """Apply r_i for each i of ``word``, first letter first, to v in place.
+
+    r_i subtracts (v, alpha_i)*alpha_i, so only coordinate i changes, to
+    sum_{j ~ i} v_j - v_i.  This is the package's one reflection formula.
+    """
+    adj = cd.adjacency0
+    for i in word:
+        i -= 1
+        s = -v[i]
+        for j in adj[i]:
+            s += v[j]
+        v[i] = s
 
 
 def reflect(cd: CartanData, i: int, v: Vec) -> Vec:
-    """Simple reflection r_i in root coordinates: subtract (v, alpha_i)*alpha_i.
+    """Simple reflection r_i in root coordinates: ``reflect_word`` on (i,).
 
-    Only coordinate i changes; ``v`` itself is returned when the pairing is 0.
+    ``v`` itself is returned when the pairing is 0.
     """
-    p = _pairing(cd, i, v)
-    if not p:
-        return v
     w = list(v)
-    w[i - 1] -= p
-    return tuple(w)
+    reflect_word(cd, (i,), w)
+    return v if w[i - 1] == v[i - 1] else tuple(w)
 
 
 @lru_cache(maxsize=None)
@@ -218,18 +232,22 @@ def positive_roots(cd: CartanData) -> tuple[Vec, ...]:
 
     The closure of the simple roots under simple reflections, keeping the
     images that stay in the positive cone; r_i changes only coordinate i,
-    so that coordinate decides positivity.
+    so that coordinate decides positivity, and is put back after each
+    letter so that one list serves every r_i of a root.
     """
     roots = {simple_root(cd, i) for i in cd.vertices}
     frontier = list(roots)
     while frontier:
         nxt = []
         for v in frontier:
+            w = list(v)
             for i in cd.vertices:
-                w = reflect(cd, i, v)
-                if w[i - 1] >= 0 and w not in roots:
-                    roots.add(w)
-                    nxt.append(w)
+                reflect_word(cd, (i,), w)
+                if w[i - 1] != v[i - 1]:
+                    if w[i - 1] >= 0 and (u := tuple(w)) not in roots:
+                        roots.add(u)
+                        nxt.append(u)
+                    w[i - 1] = v[i - 1]
         frontier = nxt
     return tuple(sorted(roots))
 

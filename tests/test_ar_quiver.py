@@ -1,7 +1,12 @@
+import os
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rmx
 from rmx import ar_quiver as ar
 from rmx import root_system as rs
 from rmx.ar_quiver import IndecObject
@@ -254,3 +259,111 @@ def test_pairings_independent_of_orientation_and_height():
                         xi = shift_height(base, t)
                         vals.add(qc.ctilde_coxeter(cd, Q, xi, i, j, l))
                 assert len(vals) == 1, (i, j, l, vals)
+
+
+# ---------------------------------------------------------------------------
+# the in-place Coxeter step against the reflect-per-letter knitting
+
+
+def _reflect_by_pairing(cd, i, v):
+    """Reference r_i: subtract (v, alpha_i) = the Cartan row i times v."""
+    pairing = sum(c * x for c, x in zip(cd.cartan[i - 1], v))
+    return tuple(x - pairing if k == i - 1 else x for k, x in enumerate(v))
+
+
+def reference_coxeter_apply(cd, word, v, times):
+    """tau^times with one fresh tuple per letter of the Coxeter word."""
+    for _ in range(abs(times)):
+        for i in (reversed(word) if times > 0 else word):
+            v = _reflect_by_pairing(cd, i, v)
+    return v
+
+
+def reference_tau_object(Q, obj, times):
+    word = ar.coxeter_word(Q)
+    root, shift = obj
+    for _ in range(abs(times)):
+        v = reference_coxeter_apply(Q.cd, word, root, 1 if times > 0 else -1)
+        if all(c >= 0 for c in v):
+            root = v
+        else:
+            root = tuple(-c for c in v)
+            shift += -1 if times > 0 else +1
+    return IndecObject(root, shift)
+
+
+def reference_tau_orbits(Q):
+    """tau^s(I_i) for s = 0..h-1, one reference tau step at a time."""
+    orbits = []
+    for i in Q.cd.vertices:
+        obj = IndecObject(ar.gamma_vector(Q, i), 0)
+        orbit = []
+        for _ in range(Q.cd.h):
+            orbit.append(obj)
+            obj = reference_tau_object(Q, obj, 1)
+        assert obj == IndecObject(orbit[0].root, -2)
+        orbits.append(tuple(orbit))
+    return tuple(orbits)
+
+
+def _knitting_quivers():
+    """Every orientation up to rank 5, the selfcheck's three orientations at
+    both parities up to rank 8, and monotone A32 and D20."""
+    for family, rank in rs.all_ade_types(8):
+        for parity in (0, 1):
+            cd = rs.build_cartan(family, rank, parity)
+            if rank <= 5:
+                yield from all_orientations(cd)
+            else:
+                yield from (ar.monotone_quiver(cd), ar.sink_source_quiver(cd),
+                            ar.random_orientation(cd, seed=11))
+    yield ar.monotone_quiver(rs.build_cartan("A", 32))
+    yield ar.monotone_quiver(rs.build_cartan("D", 20))
+
+
+def test_tau_orbits_match_the_reflect_per_letter_knitting():
+    for Q in _knitting_quivers():
+        orbits = ar._tau_orbits(Q)
+        assert orbits == reference_tau_orbits(Q), Q
+        assert all(type(root) is tuple for orbit in orbits for root, _ in orbit)
+
+
+@pytest.mark.parametrize("family,rank", [("A", 5), ("D", 5), ("E", 6), ("E", 8)])
+def test_coxeter_steps_match_the_reflect_per_letter_knitting(family, rank):
+    cd = rs.build_cartan(family, rank)
+    for Q in (ar.monotone_quiver(cd), ar.random_orientation(cd, seed=3)):
+        word = ar.coxeter_word(Q)
+        for alpha in rs.positive_roots(cd):
+            for times in (-cd.h - 1, -2, -1, 0, 1, 2, cd.h + 1):
+                got = ar.coxeter_apply(cd, word, alpha, times)
+                assert got == reference_coxeter_apply(cd, word, alpha, times)
+                assert type(got) is tuple
+                obj = IndecObject(alpha, 1)
+                assert ar.tau_object(Q, obj, times) == reference_tau_object(Q, obj, times)
+
+
+def test_a_broken_coxeter_step_raises_under_python_O():
+    # the knitting closure tau^h(I_i) = I_i[-2] is an explicit check, so it
+    # also holds in an interpreter that strips assert statements
+    code = (
+        "from rmx import ar_quiver as ar, root_system as rs\n"
+        "step = rs.reflect_word\n"
+        "rs.reflect_word = lambda cd, word, v: step(cd, word[:-1], v)\n"
+        "ar._tau_orbits(ar.monotone_quiver(rs.build_cartan('A', 3)))\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(rmx.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 1
+    assert "RuntimeError: knitting does not close" in run.stderr
+
+
+def test_a_repeated_orbit_entry_raises(monkeypatch):
+    Q = ar.monotone_quiver(rs.build_cartan("A", 3))
+    orbits = ar._tau_orbits(Q)
+    repeated = (orbits[0][:1] + orbits[1][1:2] + orbits[0][2:],) + orbits[1:]
+    monkeypatch.setattr(ar, "_tau_orbits", lambda Q: repeated)
+    with pytest.raises(RuntimeError, match="share a root and shift parity"):
+        ar._orbit_index.__wrapped__(Q)

@@ -459,3 +459,37 @@ def test_dorey_answers_do_not_depend_on_the_split_order(monkeypatch):
         finally:  # later tests must not see the reversed bases
             ro._indec_rep.cache_clear()
     assert backward == forward
+
+
+def test_dorey_checks_a_height_function_at_most_twice_per_query(monkeypatch):
+    # once for the caller's (Q, xi), once for the least height function lo;
+    # the Happel maps behind lo then run unchecked
+    calls = 0
+    check_height = ar.check_height
+
+    def counted(Q, xi):
+        nonlocal calls
+        calls += 1
+        return check_height(Q, xi)
+
+    monkeypatch.setattr(ar, "check_height", counted)
+    for family, rank in (("A", 4), ("D", 5), ("E", 6)):
+        cd = rs.build_cartan(family, rank)
+        Q = ar.monotone_quiver(cd)
+        xi = ar.default_height(Q)
+        for x in ar.delta_vertices(cd, 0, 1):
+            for y in ar.delta_vertices(cd, 0, cd.h + 1):
+                if dn.pole_order(cd, x, y) == 1:
+                    calls = 0
+                    dn.dorey_middle_term(cd, Q, xi, x, y)
+                    assert calls <= 2, (cd.label(), x, y, calls)
+
+
+def test_a_simple_pole_at_distance_h_off_the_star_raises(monkeypatch):
+    cd = rs.build_cartan("A", 3)
+    Q = ar.monotone_quiver(cd)
+    x, y = (1, 0), (1, cd.h)  # 1* = 3, so ct_11(h - 1) = 0: no pole
+    assert dn.pole_order(cd, x, y) == 0
+    monkeypatch.setattr(dn, "pole_order", lambda cd, x, y: 1)
+    with pytest.raises(RuntimeError, match="forces j = i\\*"):
+        dn.dorey_middle_term(cd, Q, ar.default_height(Q), x, y)

@@ -1,5 +1,6 @@
 from fractions import Fraction
 from functools import lru_cache
+import random
 from itertools import permutations
 
 import pytest
@@ -243,6 +244,101 @@ def test_rational_inversion_rejects_bad_input():
         qc.rational_inversion_residual(cd, 4 * cd.h, Fraction(1, 2))
     with pytest.raises(ValueError):
         qc.rational_inversion_residual(cd, cd.h, Fraction(1, 5))
+
+
+def residual_by_fractions(cd, L, z0):
+    """Reference: (residual, bound) of ``rational_inversion_residual``, with
+    every entry of C(z0), the truncated inverse and their product a
+    Fraction."""
+    z0 = Fraction(z0)
+    n = cd.rank
+    t = qc.ctilde_table(cd, L)
+    C = [[z0 + 1 / z0 if i == j else Fraction(cd.c(i + 1, j + 1))
+          for j in range(n)] for i in range(n)]
+    S = [[Fraction(0)] * n for _ in range(n)]
+    zpow = Fraction(1)
+    for l in range(1, L + 1):
+        zpow *= z0
+        for i in range(n):
+            for j in range(n):
+                S[i][j] += t.values[l - 1][i][j] * zpow
+    resid = Fraction(0)
+    for i in range(n):
+        for j in range(n):
+            acc = sum((C[i][k] * S[k][j] for k in range(n)), Fraction(0))
+            if i == j:
+                acc -= 1
+            resid = max(resid, abs(acc))
+    cmax = max(abs(c) for layer in t.values for row in layer for c in row)
+    row_norm = max(sum(abs(C[i][k]) for k in range(n)) for i in range(n))
+    return resid, row_norm * cmax * abs(z0) ** (L + 1) / (1 - abs(z0))
+
+
+@pytest.mark.parametrize("family,rank", rs.all_ade_types(8) + [("A", 16), ("D", 10)])
+def test_integer_residual_equals_the_fraction_reference(family, rank):
+    cd = rs.build_cartan(family, rank)
+    for z0 in (Fraction(1, 5), Fraction(-1, 4), Fraction(2, 9)):
+        got = qc.rational_inversion_residual(cd, 4 * cd.h, z0)
+        assert got == residual_by_fractions(cd, 4 * cd.h, z0)
+        assert all(type(x) is Fraction for x in got)
+
+
+def identities_by_value(t):
+    """Reference: ``check_ctilde_identities`` through bounds-checked
+    ``t.value`` calls, in the same order."""
+    cd = t.cd
+    h = cd.h
+    bad = []
+    autos = qc._diagram_automorphisms(cd)
+    for i in cd.vertices:
+        for j in cd.vertices:
+            for l in range(1, 2 * h + 1):
+                v = t.value(i, j, l)
+                if v != t.value(j, i, l):
+                    bad.append(f"(1) symmetry fails at ({i},{j},{l})")
+                for sigma in autos:
+                    if v != t.value(sigma[i - 1], sigma[j - 1], l):
+                        bad.append(f"(2) automorphism invariance fails at ({i},{j},{l})")
+                if l <= 2 * h - 1 and v != -t.value(i, j, 2 * h - l):
+                    bad.append(f"(4) ct(l) = -ct(2h-l) fails at ({i},{j},{l})")
+                if 1 <= l <= h - 1 and v != t.value(j, cd.star_of(i), h - l):
+                    bad.append(f"(5) ct_ij(l) = ct_(j,i*)(h-l) fails at ({i},{j},{l})")
+                if l % h == 0 and v != 0:
+                    bad.append(f"(6) ct(kh) = 0 fails at ({i},{j},{l})")
+                if 1 <= l <= h - 1 and v < 0:
+                    bad.append(f"(7) ct(l) >= 0 on 1..h-1 fails at ({i},{j},{l})")
+                if h + 1 <= l <= 2 * h - 1 and v > 0:
+                    bad.append(f"(8) ct(l) <= 0 on h+1..2h-1 fails at ({i},{j},{l})")
+    t2 = qc.ctilde_table(cd, 4 * h)
+    for i in cd.vertices:
+        for j in cd.vertices:
+            for l in range(1, 2 * h + 1):
+                if t.value(i, j, l) != t2.value(i, j, l + 2 * h):
+                    bad.append(f"(3) period 2h fails at ({i},{j},{l})")
+    return bad
+
+
+def shifted_table(t, i, j, l, by=1):
+    """t with the one entry ct_ij(l) moved by ``by``."""
+    values = [[list(row) for row in layer] for layer in t.values]
+    values[l - 1][i - 1][j - 1] += by
+    return qc.CTildeTable(cd=t.cd, L=t.L, values=tuple(
+        tuple(tuple(row) for row in layer) for layer in values))
+
+
+@pytest.mark.parametrize("family,rank", [("A", 1), ("A", 4), ("D", 4), ("D", 5), ("E", 6)])
+def test_identity_violations_match_the_reference_loop(family, rank):
+    cd = rs.build_cartan(family, rank)
+    t = qc.ctilde_table(cd, 2 * cd.h)
+    assert qc.check_ctilde_identities(t) == identities_by_value(t) == []
+    longer = qc.ctilde_table(cd, 3 * cd.h)
+    assert qc.check_ctilde_identities(longer) == identities_by_value(longer) == []
+    rng = random.Random(rank)
+    for _ in range(40):
+        i, j = rng.choice(cd.vertices), rng.choice(cd.vertices)
+        bad = shifted_table(t, i, j, rng.randint(1, 2 * cd.h), rng.choice((-2, -1, 1)))
+        got = qc.check_ctilde_identities(bad)
+        assert got and got == identities_by_value(bad)
 
 
 def test_periodic_accessor_matches_long_table():

@@ -137,9 +137,14 @@ def dense_cartan(cd):
     )
 
 
+def dense_pairing(cartan, i, v):
+    """(v, alpha_i) as the full sum over the Cartan matrix row."""
+    return sum(v[j] * cartan[i - 1][j] for j in range(len(v)))
+
+
 def dense_reflect(cartan, i, v):
     """r_i(v) = v - (v, alpha_i) alpha_i with the full pairing sum."""
-    pairing = sum(v[j] * cartan[i - 1][j] for j in range(len(v)))
+    pairing = dense_pairing(cartan, i, v)
     return tuple(v[j] - (pairing if j == i - 1 else 0) for j in range(len(v)))
 
 
@@ -155,9 +160,10 @@ def star_from_longest_word(cd):
     roots = rs.positive_roots(cd)
     two_rho = tuple(map(sum, zip(*roots)))
     v, u = two_rho, tuple(cd.vertices)
+    cartan = dense_cartan(cd)
     steps = 0
     while True:
-        i = next((k for k in cd.vertices if rs._pairing(cd, k, v) > 0), None)
+        i = next((k for k in cd.vertices if dense_pairing(cartan, k, v) > 0), None)
         if i is None:
             break
         v, u = rs.reflect(cd, i, v), rs.reflect(cd, i, u)

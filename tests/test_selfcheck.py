@@ -1,8 +1,8 @@
 """Each rewritten selfcheck check fails when one fact it covers is wrong.
 
 The checks compare in bulk and compute each shared fact once; these
-mutations show that one wrong knitting entry, one wrong single step or one
-wrong Hom count still reaches the verdict.  Each test first runs the check
+mutations show that one wrong knitting entry, one wrong single step, one
+wrong ``ct`` entry or one wrong Hom count still reaches the verdict.  Each test first runs the check
 unpatched, which also fills the caches the patched function feeds, so the
 mutation cannot outlive the test.  The pair enumerations behind
 ext-oracle build each quiver once per least height function; they must
@@ -12,12 +12,17 @@ still place every pair as ``common_heart`` does.
 import random
 from itertools import product
 
+import pytest
+
 from rmx import ar_quiver as ar
 from rmx import denominators as dn
+from rmx import quantum_cartan as qc
 from rmx import rep_oracle as ro
 from rmx import root_system as rs
 from rmx import selfcheck as sc
 from rmx.ar_quiver import IndecObject
+
+from test_quantum_cartan import identities_by_value, shifted_table
 
 
 def test_a_wrong_knitting_entry_fails_the_dual_method(monkeypatch):
@@ -69,6 +74,28 @@ def test_a_wrong_coxeter_step_fails_tau_nakayama(monkeypatch):
     passed, detail = sc.check_tau_nakayama(3)
     assert not passed
     assert "A3: tau^h moves" in detail
+
+
+@pytest.mark.parametrize("family,rank,entry", [("A", 3, (1, 2, 1)), ("D", 4, (2, 2, 3)),
+                                               ("E", 6, (2, 5, 4)), ("E", 8, (8, 8, 30))])
+def test_one_wrong_ct_entry_fails_inversion_and_identities(monkeypatch, family, rank, entry):
+    # entry = (i, j, l) with l <= h, moved by 1 in every table of that type
+    assert sc.check_ctilde_inversion(rank)[0] and sc.check_ctilde_identities(rank)[0]
+    target = rs.build_cartan(family, rank)
+    orig = qc.ctilde_table
+
+    def shifted(cd, L=None):
+        t = orig(cd, L)
+        return shifted_table(t, *entry) if cd is target else t
+
+    monkeypatch.setattr(qc, "ctilde_table", shifted)
+    passed, detail = sc.check_ctilde_inversion(rank)
+    assert not passed
+    assert detail.startswith(f"{target.label()}: residual ")
+    passed, detail = sc.check_ctilde_identities(rank)
+    assert not passed
+    reference = identities_by_value(qc.ctilde_table(target, 2 * target.h))
+    assert detail == f"{target.label()}: {reference[0]} (+{len(reference) - 1} more)"
 
 
 def test_one_wrong_hom_count_fails_ext_oracle(monkeypatch):
