@@ -7,10 +7,14 @@ between repetition-quiver vertices (i, p) and objects is computed exactly,
 never tabulated per type.
 
 ``_tau_orbits`` is the one knitting table: one tau period of each injective
-I_i per quiver Q.  The module strip, the Happel maps and the Coxeter-formula
-``quantum_cartan.ctilde_coxeter`` read it at any height function of Q.  A
-Coxeter step is one ``root_system.reflect_word`` call over the whole Coxeter
-word, on one list in place; that is the only reflection routine used here.
+I_i per quiver Q.  The module strip, the Happel maps and the Coxeter formula
+for ct_ij(l) read it at any height function of Q.  A Coxeter step is one
+``root_system.reflect_word`` call over the whole Coxeter word, on one list in
+place; that is the only reflection routine used here.
+
+This module reads only ``root_system``: the ct table and the Hom/Ext window
+formulas live above it, so the representation oracle, which builds on it,
+stays independent of them.
 """
 
 from __future__ import annotations
@@ -19,7 +23,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
-from rmx import quantum_cartan as qc
 from rmx import root_system as rs
 from rmx.root_system import CartanData, Vec
 
@@ -282,29 +285,6 @@ def euler_form(Q: DynkinQuiver, a: Vec, b: Vec) -> int:
     total = sum(x * y for x, y in zip(a, b))
     total -= sum(a[u - 1] * b[v - 1] for u, v in Q.arrows)
     return total
-
-
-def ext1_dim(cd: CartanData, x: DeltaVertex, y: DeltaVertex) -> int:
-    """dim Ext^1 from the object at y into the object at x:
-    ct_ij(r - p - 1) when 1 <= r - p - 1 <= h - 1, else 0."""
-    check_delta_vertex(cd, x)
-    check_delta_vertex(cd, y)
-    (i, p), (j, r) = x, y
-    l = r - p - 1
-    if 1 <= l <= cd.h - 1:
-        return qc.ctilde(cd, i, j, l)
-    return 0
-
-
-def hom_dim(cd: CartanData, x: DeltaVertex, y: DeltaVertex) -> int:
-    """dim Hom from the object at x to the object at y:
-    ct_ij(r - p + 1) when 0 <= r - p <= h - 2, else 0."""
-    check_delta_vertex(cd, x)
-    check_delta_vertex(cd, y)
-    (i, p), (j, r) = x, y
-    if 0 <= r - p <= cd.h - 2:
-        return qc.ctilde(cd, i, j, r - p + 1)
-    return 0
 
 
 def delta_vertices(cd: CartanData, p_lo: int, p_hi: int) -> list[DeltaVertex]:

@@ -1,9 +1,10 @@
 """Denominators of normalized R-matrices and the simple-pole combinatorics.
 
 The denominator between fundamental modules i and j is
-prod_{l=1}^{h-1} (u - q^(l+1))^(ct_ij(l)); everything else here (pole orders,
-irreducibility of tensor pairs, Dorey middle terms) is a window query against
-the same integer table, cross-checkable through explicit representations.
+prod_{l=1}^{h-1} (u - q^(l+1))^(ct_ij(l)); everything else here (the Hom
+window ``hom_dim``, pole orders as the Ext window, irreducibility of tensor
+pairs, Dorey middle terms) is a window query against the same integer table,
+cross-checkable through explicit representations.
 """
 
 from __future__ import annotations
@@ -97,8 +98,9 @@ class Monomial:
 
 def denominator(cd: CartanData, i: int, j: int) -> Denominator:
     """d_ij(u) with zeros at q^(l+1), multiplicity ct_ij(l), 1 <= l <= h-1."""
-    series = qc.ctilde_table(cd, 2 * cd.h).series(i, j)
-    factors = tuple((l + 1, m) for l, m in enumerate(series[:cd.h - 1], 1) if m)
+    values = qc.ctilde_table(cd, 2 * cd.h).values
+    factors = tuple((l + 1, m) for l, layer in enumerate(values[:cd.h - 1], 1)
+                    if (m := layer[i - 1][j - 1]))
     return Denominator(factors=factors, convention="q")
 
 
@@ -108,9 +110,27 @@ def denominator_kashiwara(cd: CartanData, i: int, j: int) -> Denominator:
     return Denominator(factors=d.factors, convention="minus_q")
 
 
+def hom_dim(cd: CartanData, x: DeltaVertex, y: DeltaVertex) -> int:
+    """dim Hom from the object at x to the object at y:
+    ct_ij(r - p + 1) when 0 <= r - p <= h - 2, else 0."""
+    ar.check_delta_vertex(cd, x)
+    ar.check_delta_vertex(cd, y)
+    (i, p), (j, r) = x, y
+    if 0 <= r - p <= cd.h - 2:
+        return qc.ctilde(cd, i, j, r - p + 1)
+    return 0
+
+
 def pole_order(cd: CartanData, x: DeltaVertex, y: DeltaVertex) -> int:
-    """Zero order of d_ij(u) at u = q^(r-p) for x = (i,p), y = (j,r)."""
-    return ar.ext1_dim(cd, x, y)
+    """Zero order of d_ij(u) at u = q^(r-p) for x = (i,p), y = (j,r).
+
+    This is dim Ext^1 from the object at y into the object at x, which AR
+    duality Ext^1(Y, X) = D Hom(X, tau Y) reads through the Hom window at
+    tau y = (j, r - 2): ct_ij(r - p - 1) when 1 <= r - p - 1 <= h - 1, else 0.
+    """
+    ar.check_delta_vertex(cd, y)  # so an error names y, not tau y
+    j, r = y
+    return hom_dim(cd, x, (j, r - 2))
 
 
 def is_tensor_irreducible(cd: CartanData, x: DeltaVertex, y: DeltaVertex) -> bool:

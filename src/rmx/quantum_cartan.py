@@ -8,6 +8,10 @@ the coefficient of z^m in C(z) * Ct(z) = Id gives the integer recurrence
     ct_ij(m+1) = delta_ij * delta_{m,0} - ct_ij(m-1) + sum_{k ~ i} ct_kj(m)
 
 with ct(l) = 0 for l <= 0 (note N_ik = -1 exactly when k ~ i).
+
+The second route to the same table, the Coxeter-element formula, reads the
+knitting table of ``ar_quiver``; the Hom/Ext window formulas that read ct
+live in ``denominators``.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from functools import lru_cache
 from itertools import permutations
 from operator import add, mul
 
-from rmx import ar_quiver as ar  # imports this module too; used at call time
+from rmx import ar_quiver as ar
 from rmx.root_system import CartanData, Vec
 
 

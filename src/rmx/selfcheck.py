@@ -12,7 +12,7 @@ import json
 import random
 import time
 from collections import Counter
-from itertools import islice, product, repeat
+from itertools import combinations_with_replacement, islice, product, repeat
 
 from rmx import ar_quiver as ar
 from rmx import denominators as dn
@@ -48,10 +48,10 @@ def check_ctilde_dual_method(max_rank: int = 8):
     """
     mismatches = []
     for family, n in rs.all_ade_types(max_rank):
-        for parity in (0, 1):
-            cd = rs.build_cartan(family, n, parity_base=parity)
-            L = 2 * cd.h
-            table = qc.ctilde_table(cd, L)
+        cds = [rs.build_cartan(family, n, parity_base=parity) for parity in (0, 1)]
+        L = 2 * cds[0].h
+        table = qc.ctilde_table(cds[0], L)  # the recurrence reads only the adjacency
+        for parity, cd in enumerate(cds):
             for Q in _three_orientations(cd):
                 coxeter = qc.ctilde_coxeter_table(cd, Q, ar.default_height(Q), L)
                 if coxeter.values == table.values:
@@ -82,8 +82,9 @@ def check_ctilde_inversion(max_rank: int = 8):
     from fractions import Fraction
 
     bad = []
-    sample = [c for c in _types(max_rank) if c.label() in ("A2", "A3", "D4", "E6", "E8")]
-    for cd in sample or _types(max_rank):
+    sample = ([c for c in _types(max_rank) if c.label() in ("A2", "A3", "D4", "E6", "E8")]
+              or _types(max_rank))
+    for cd in sample:
         resid, bound = qc.rational_inversion_residual(cd, 4 * cd.h, Fraction(1, 5))
         if resid > bound:
             bad.append(f"{cd.label()}: residual {resid} exceeds bound {bound}")
@@ -106,16 +107,15 @@ def check_denominators(max_rank: int = 8):
     if dn.denominator(cd2, 2, 1).factors != ((3, 1),):
         bad.append("A2 d21 wrong")
     for cd in _types(max_rank):
-        for i in cd.vertices:
-            for j in cd.vertices:
-                d = dn.denominator(cd, i, j)
-                if d.factors != dn.denominator(cd, j, i).factors:
-                    bad.append(f"{cd.label()} d{i}{j} asymmetric")
-                if d.factors != dn.denominator_kashiwara(cd, i, j).factors:
-                    bad.append(f"{cd.label()} d{i}{j} convention changes multiplicities")
-                for k, m in d.factors:
-                    if k <= 0 or m <= 0 or (k + cd.eps_of(i) + cd.eps_of(j)) % 2 != 0:
-                        bad.append(f"{cd.label()} d{i}{j} zero q^{k} violates parity/positivity")
+        dens = {(i, j): dn.denominator(cd, i, j) for i in cd.vertices for j in cd.vertices}
+        for (i, j), d in dens.items():
+            if d.factors != dens[j, i].factors:
+                bad.append(f"{cd.label()} d{i}{j} asymmetric")
+            if d.factors != dn.denominator_kashiwara(cd, i, j).factors:
+                bad.append(f"{cd.label()} d{i}{j} convention changes multiplicities")
+            for k, m in d.factors:
+                if k <= 0 or m <= 0 or (k + cd.eps_of(i) + cd.eps_of(j)) % 2 != 0:
+                    bad.append(f"{cd.label()} d{i}{j} zero q^{k} violates parity/positivity")
     return not bad, "; ".join(bad[:3]) if bad else "goldens, symmetry and zero positions OK"
 
 
@@ -226,7 +226,7 @@ def check_ext_oracle(labels=("A3", "D4"), e6_samples: int = 0):
                 oracle[key] = (ro.ext1_dim_rep(My, Mx), ro.hom_dim_rep(Mx, My),
                                ro.ext1_dim_rep(Mx, My))
             ext_yx, hom_xy, ext_xy = oracle[key]
-            hom = ar.hom_dim(cd, x, y)
+            hom = dn.hom_dim(cd, x, y)
             tested += 1
             if dn.pole_order(cd, x, y) != ext_yx:
                 bad.append(f"{label}: ext mismatch at {x},{y}")
@@ -323,23 +323,12 @@ def check_kostant_census(max_weight: int = 5):
     Q = ar.monotone_quiver(cd)
     xi = ar.default_height(Q, -2)
 
-    def betas(weight, lo, hi):
-        if weight == 0:
-            yield {}
-            return
-        for j in range(lo, hi + 1):
-            for rest in betas(weight - 1, j, hi):
-                b = dict(rest)
-                b[j] = b.get(j, 0) + 1
-                yield b
-
-    seen = set()
+    checked = 0
     for w in range(1, max_weight + 1):
-        for beta in betas(w, 0, 3):
+        for combo in combinations_with_replacement(range(4), w):
+            beta = Counter(combo)
             key = tuple(sorted(beta.items()))
-            if key in seen:
-                continue
-            seen.add(key)
+            checked += 1
             kps = sw.kostant_partitions(beta, N)
             census = sw.orbit_census(beta, N)
             if len(census) != len(kps):
@@ -353,7 +342,7 @@ def check_kostant_census(max_weight: int = 5):
             want = dn.Monomial.unit() if x is sw.ZERO else dn.Monomial.y(*x)
             if got != want:
                 bad.append(f"m_delta({j},{l}) = {got.render()} != {want.render()}")
-    return not bad, "; ".join(bad[:3]) if bad else f"{len(seen)} weight<= {max_weight} betas checked"
+    return not bad, "; ".join(bad[:3]) if bad else f"{checked} weight<= {max_weight} betas checked"
 
 
 def check_rep_oracle(exhaustive=("A3", "D4"), roundtrips: int = 100):

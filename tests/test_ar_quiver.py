@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import rmx
 from rmx import ar_quiver as ar
+from rmx import denominators as dn
 from rmx import root_system as rs
 from rmx.ar_quiver import IndecObject
 
@@ -223,18 +224,18 @@ def test_euler_form_examples():
 
 def test_ext1_dim_examples():
     cd, _, _ = _a2_setup()
-    assert ar.ext1_dim(cd, (2, -1), (2, 1)) == 1
-    assert ar.ext1_dim(cd, (1, 0), (2, 3)) == 1
-    assert ar.ext1_dim(cd, (1, 0), (1, 0)) == 0
-    assert ar.ext1_dim(cd, (2, 1), (2, -1)) == 0  # r <= p + 1
+    assert dn.pole_order(cd, (2, -1), (2, 1)) == 1
+    assert dn.pole_order(cd, (1, 0), (2, 3)) == 1
+    assert dn.pole_order(cd, (1, 0), (1, 0)) == 0
+    assert dn.pole_order(cd, (2, 1), (2, -1)) == 0  # r <= p + 1
 
 
 def test_hom_dim_examples():
     cd, _, _ = _a2_setup()
-    assert ar.hom_dim(cd, (1, 0), (2, 1)) == 1
-    assert ar.hom_dim(cd, (1, 0), (1, 0)) == 1
-    assert ar.hom_dim(cd, (2, 1), (1, 0)) == 0  # r < p
-    assert ar.hom_dim(cd, (1, 0), (2, 3)) == 0  # beyond the module window
+    assert dn.hom_dim(cd, (1, 0), (2, 1)) == 1
+    assert dn.hom_dim(cd, (1, 0), (1, 0)) == 1
+    assert dn.hom_dim(cd, (2, 1), (1, 0)) == 0  # r < p
+    assert dn.hom_dim(cd, (1, 0), (2, 3)) == 0  # beyond the module window
 
 
 def test_pairings_independent_of_orientation_and_height():

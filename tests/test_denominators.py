@@ -134,6 +134,38 @@ def test_pole_order_examples():
     assert dn.pole_order(cd2, (1, 0), (2, 3)) == 1
 
 
+def reference_ext1_dim(cd, x, y):
+    """The Ext window read directly: dim Ext^1 from the object at y into the
+    object at x is ct_ij(r - p - 1) when 1 <= r - p - 1 <= h - 1, else 0."""
+    ar.check_delta_vertex(cd, x)
+    ar.check_delta_vertex(cd, y)
+    (i, p), (j, r) = x, y
+    l = r - p - 1
+    if 1 <= l <= cd.h - 1:
+        return qc.ctilde(cd, i, j, l)
+    return 0
+
+
+@pytest.mark.parametrize("parity", [0, 1])
+@pytest.mark.parametrize("family,rank", rs.all_ade_types(8))
+def test_pole_order_is_the_ext_window(family, rank, parity):
+    # pole_order reads the Ext window through the Hom window at tau y
+    # (AR duality); every ordered pair at heights -h-3..h+3 sees both ends
+    # of the window and the zeros beyond them
+    cd = rs.build_cartan(family, rank, parity_base=parity)
+    verts = ar.delta_vertices(cd, -cd.h - 3, cd.h + 3)
+    for x, y in product(verts, repeat=2):
+        assert dn.pole_order(cd, x, y) == reference_ext1_dim(cd, x, y), (x, y)
+
+
+def test_pole_order_rejects_the_vertex_it_was_given():
+    cd = rs.build_cartan("A", 2)
+    with pytest.raises(ValueError, match=r"\(2,0\) violates"):
+        dn.pole_order(cd, (1, 0), (2, 0))
+    with pytest.raises(ValueError, match=r"\(1,1\) violates"):
+        dn.hom_dim(cd, (1, 1), (2, 1))
+
+
 def test_irreducibility_examples():
     cd2 = rs.build_cartan("A", 2)
     assert dn.is_tensor_irreducible(cd2, (1, 0), (2, 1))

@@ -27,17 +27,17 @@ def test_gamma_window_a2():
 
 
 def _all_pairs_arrows(cd, verts):
-    """The reference Ext quiver: every ordered pair through ``ext1_dim``."""
+    """The reference Ext quiver: every ordered pair through ``pole_order``."""
     return tuple(
-        (u, v, ar.ext1_dim(cd, v, u))
-        for u in verts for v in verts if ar.ext1_dim(cd, v, u)
+        (u, v, dn.pole_order(cd, v, u))
+        for u in verts for v in verts if dn.pole_order(cd, v, u)
     )
 
 
 def _all_pairs_gamma_J(cd, fam):
     return tuple(
         (j, jp, m) for j, jp in product(fam.domain, repeat=2)
-        if (m := ar.ext1_dim(cd, fam.of(jp), fam.of(j)))
+        if (m := dn.pole_order(cd, fam.of(jp), fam.of(j)))
     )
 
 

@@ -133,3 +133,50 @@ def test_the_sampled_pairs_draw_as_the_reference_loop_does():
         if placement is not None:
             expected.append((x, y, placement))
     assert list(sc._sampled_pairs(cd, 60)) == expected
+
+
+def test_inversion_counts_the_types_it_checked():
+    # no sampled label fits rank 1, so A1 itself is checked
+    assert sc.check_ctilde_inversion(1) == (True, "residuals within tail bounds (1 types)")
+    assert sc.check_ctilde_inversion(5)[1] == "residuals within tail bounds (3 types)"
+    assert sc.check_ctilde_inversion(8)[1] == "residuals within tail bounds (5 types)"
+
+
+def test_dual_method_builds_one_recurrence_table_per_type(monkeypatch):
+    calls = []
+    orig = qc.ctilde_table
+
+    def counted(cd, L=None):
+        calls.append(cd.label())
+        return orig(cd, L)
+
+    monkeypatch.setattr(qc, "ctilde_table", counted)
+    assert sc.check_ctilde_dual_method(5)[0]
+    assert calls == [f"{f}{n}" for f, n in rs.all_ade_types(5)]
+
+
+def test_denominators_builds_each_d_ij_once_and_still_sees_asymmetry(monkeypatch):
+    builds = []
+    orig = dn.denominator
+
+    def counted(cd, i, j):
+        builds.append((cd.label(), i, j))
+        return orig(cd, i, j)
+
+    monkeypatch.setattr(dn, "denominator", counted)
+    assert sc.check_denominators(5) == (True, "goldens, symmetry and zero positions OK")
+    pairs = sum(rs.build_cartan(f, n).rank ** 2 for f, n in rs.all_ade_types(5))
+    # the five goldens, then d_ij once per ordered pair plus the build inside
+    # denominator_kashiwara
+    assert len(builds) == 5 + 2 * pairs
+
+    def asymmetric(cd, i, j):
+        d = orig(cd, i, j)
+        if (cd.label(), i, j) == ("A3", 1, 2):
+            return dn.Denominator(d.factors + ((9, 2),), d.convention)
+        return d
+
+    monkeypatch.setattr(dn, "denominator", asymmetric)
+    passed, detail = sc.check_denominators(5)
+    assert not passed
+    assert detail == "A3 d12 asymmetric; A3 d21 asymmetric"
