@@ -18,8 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations
-from operator import add, mul
+from itertools import permutations, repeat
+from operator import add, mul, sub
 
 from rmx import ar_quiver as ar
 from rmx.root_system import CartanData, Vec
@@ -44,29 +44,39 @@ class CTildeTable:
 
 @lru_cache(maxsize=None)
 def ctilde_table(cd: CartanData, L: int | None = None) -> CTildeTable:
-    """Compute ct_ij(l) for l up to L (default 2h) by the recurrence."""
+    """Compute ct_ij(l) for l up to L (default 2h) by the recurrence.
+
+    A table longer than one period 2h starts with the layers of the cached
+    (cd, 2h) table and computes layers 2h+1..L from its last two.
+    """
+    period = 2 * cd.h
     if L is None:
-        L = 2 * cd.h
+        L = period
     if L < 1:
         raise ValueError("truncation order must be >= 1")
-    # row i of ct(m+1) is -ct(m-1)[i] plus the rows ct(m)[k] over k ~ i
     n = cd.rank
-    layers: list[list[list[int]]] = []
-    prev2 = [[0] * n for _ in range(n)]  # ct(m-1); ct(l) = 0 for l <= 0
-    prev1 = [[0] * n for _ in range(n)]  # ct(m)
-    for m in range(L):
+    if L > period:
+        layers = list(ctilde_table(cd, period).values)
+        prev2 = layers[-2]
+    else:
+        layers = [tuple(tuple(int(i == j) for j in range(n)) for i in range(n))]
+        prev2 = ((0,) * n,) * n  # ct(0)
+    # row i of ct(m+1) is the sum of the rows ct(m)[k] over k ~ i, minus
+    # ct(m-1)[i]; A1's one vertex has no neighbour and sums to zero
+    while len(layers) < L:
+        prev1 = layers[-1]
         cur = []
-        for i in range(n):
-            row = [-x for x in prev2[i]]
-            for k in cd.adjacency[i]:
-                row = list(map(add, row, prev1[k - 1]))
-            if m == 0:
-                row[i] += 1
-            cur.append(row)
-        layers.append(cur)
-        prev2, prev1 = prev1, cur
-    values = tuple(tuple(tuple(row) for row in layer) for layer in layers)
-    return CTildeTable(cd=cd, L=L, values=values)
+        for i, nbrs in enumerate(cd.adjacency0):
+            if nbrs:
+                total = prev1[nbrs[0]]
+                for k in nbrs[1:]:
+                    total = map(add, total, prev1[k])
+            else:
+                total = repeat(0)
+            cur.append(tuple(map(sub, total, prev2[i])))
+        layers.append(tuple(cur))
+        prev2 = prev1
+    return CTildeTable(cd=cd, L=L, values=tuple(layers))
 
 
 def ctilde(cd: CartanData, i: int, j: int, l: int) -> int:

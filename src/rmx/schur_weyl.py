@@ -68,18 +68,23 @@ def _ext_poles(cd: CartanData) -> list[list[list[tuple[int, int]]]]:
              for j in range(cd.rank)] for i in range(cd.rank)]
 
 
-def gamma_arrows(cd: CartanData, p_lo: int, p_hi: int
-                 ) -> Iterator[tuple[DeltaVertex, DeltaVertex, int]]:
-    """The arrows (u, v, m) of the Ext quiver on heights p_lo..p_hi, lazily,
-    by source, then by target, both in ``delta_vertices`` order.  They are read
-    off the ct table once per vertex pair, by ``_ext_poles``."""
+def gamma_rows(cd: CartanData, p_lo: int, p_hi: int
+               ) -> Iterator[tuple[DeltaVertex, list[tuple[DeltaVertex, int]]]]:
+    """The Ext quiver on heights p_lo..p_hi by source row, lazily: (u, [(v, m),
+    ...]) for each source u in ``delta_vertices`` order, its targets in that
+    order too.  Each row is read off the per-pair ct lists of ``_ext_poles``."""
     poles = _ext_poles(cd)
     for u in ar.delta_vertices(cd, p_lo, p_hi):
         i, r = u
-        for j, pairs in enumerate(poles[i - 1], 1):
-            for l, m in pairs:
-                if r - l - 1 >= p_lo:
-                    yield u, (j, r - l - 1), m
+        yield u, [((j, r - l - 1), m) for j, pairs in enumerate(poles[i - 1], 1)
+                  for l, m in pairs if r - l - 1 >= p_lo]
+
+
+def gamma_arrows(cd: CartanData, p_lo: int, p_hi: int
+                 ) -> Iterator[tuple[DeltaVertex, DeltaVertex, int]]:
+    """The arrows (u, v, m) of the Ext quiver on heights p_lo..p_hi, lazily:
+    ``gamma_rows`` flattened, by source, then by target."""
+    return ((u, v, m) for u, row in gamma_rows(cd, p_lo, p_hi) for v, m in row)
 
 
 def gamma_window(cd: CartanData, p_lo: int, p_hi: int) -> GammaWindow:
@@ -94,7 +99,7 @@ def gamma_window(cd: CartanData, p_lo: int, p_hi: int) -> GammaWindow:
 
 def gamma_J(cd: CartanData, fam: FamilyMap) -> GammaWindow:
     """Full subquiver on the family image, re-indexed by the domain.  Its
-    arrows are read off the per-pair ct lists of ``gamma_arrows`` through the
+    arrows are read off the per-pair ct lists of ``_ext_poles`` through the
     map from image vertex to domain index, by source, then by target."""
     for v in fam.image:
         ar.check_delta_vertex(cd, v)

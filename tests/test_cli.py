@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rmx import ar_quiver as ar
 from rmx import cli
 from rmx import quantum_cartan as qc
 from rmx import root_system as rs
+from rmx import schur_weyl as sw
 from rmx import selfcheck
 
 
@@ -327,7 +329,7 @@ def test_streamed_json_graph_is_json_dumps(vertices, arrows, attrs):
                    for u, v, m in arrows],
         "vertices": [attrs[v] if attrs else cli._vkey(v) for v in vertices],
     }
-    chunks = cli._json_graph(vertices, iter(arrows), attrs)
+    chunks = cli._json_graph(vertices, cli._arrow_rows(iter(arrows)), attrs)
     assert "".join(chunks) == cli._emit_json(payload)
 
 
@@ -420,3 +422,173 @@ def test_cli_fuzz_exits_with_a_documented_code(argv):
         except SystemExit as exc:  # argparse rejects the command line
             code = exc.code
     assert code in (0, 1, 2, 3), (argv, code)
+
+
+# ---------------------------------------------------------------------------
+# the streamed writers against the whole-output writers they replaced, kept
+# here as references
+
+
+def _reference_emit_table(header, rows, fmt):
+    if fmt == "csv":
+        lines = [",".join(header)]
+        lines += [",".join(str(x) for x in row) for row in rows]
+        return "\n".join(lines) + "\n"
+    if fmt == "markdown-table":
+        lines = ["| " + " | ".join(header) + " |"]
+        lines.append("|" + "|".join(" --- " for _ in header) + "|")
+        lines += ["| " + " | ".join(str(x) for x in row) + " |" for row in rows]
+        return "\n".join(lines) + "\n"
+    return cli._emit_json([dict(zip(header, row)) for row in rows])
+
+
+def _reference_ctilde(cd, order, fmt):
+    t = qc.ctilde_table(cd, order)
+    header = ["i", "j"] + [f"l{l}" for l in range(1, order + 1)]
+    rows = [[i, j] + list(t.series(i, j)) for i in cd.vertices for j in cd.vertices]
+    return _reference_emit_table(header, rows, fmt)
+
+
+def _reference_json_graph(vertices, arrows, vertex_attrs=None):
+    key = {v: json.dumps(cli._vkey(v)) for v in vertices}
+    yield '{"arrows":['
+    sep = ""
+    for u, v, m in arrows:
+        yield f'{sep}{{"from":{key[u]},"mult":{m},"to":{key[v]}}}'
+        sep = ","
+    yield '],"vertices":['
+    yield ",".join(
+        json.dumps(vertex_attrs[v], sort_keys=True, separators=(",", ":"))
+        if vertex_attrs else key[v] for v in vertices)
+    yield "]}\n"
+
+
+def _reference_emit_dot(name, vertices, arrows, vertex_attrs=None):
+    key = {v: cli._vkey(v) for v in vertices}
+    yield f"digraph {name} {{\n"
+    for v in vertices:
+        extra = vertex_attrs[v] if vertex_attrs else {}
+        attrs = ", ".join(f'{k}="{val}"' for k, val in extra.items()
+                          if k not in ("i", "p", "j"))
+        yield f'  "{key[v]}"' + (f" [{attrs}]" if attrs else "") + ";\n"
+    for u, v, m in arrows:
+        yield f'  "{key[u]}" -> "{key[v]}" [mult={m}];\n'
+    yield "}\n"
+
+
+def _reference_graph(fmt, name, vertices, arrows, vertex_attrs=None):
+    writer = _reference_emit_dot if fmt == "dot" else _reference_json_graph
+    args = (name,) if fmt == "dot" else ()
+    return "".join(writer(*args, vertices, arrows, vertex_attrs))
+
+
+def _stdout(argv):
+    sink = io.StringIO()
+    with contextlib.redirect_stdout(sink):
+        code = cli.main(argv)
+    return code, sink.getvalue()
+
+
+_TYPES_TO_12 = st.sampled_from(rs.all_ade_types(12))
+
+
+@st.composite
+def _type_and_order(draw):
+    """A type of rank <= 12 and an order 1..4h."""
+    ty = draw(_TYPES_TO_12)
+    return ty, draw(st.integers(1, 4 * rs.build_cartan(*ty).h))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_type_and_order(), st.sampled_from(_FORMATS["ctilde"]))
+def test_streamed_ctilde_is_the_reference_table(ty_order, fmt):
+    ty, order = ty_order
+    cd = rs.build_cartan(*ty)
+    code, out = _stdout(["ctilde", "--type", ty[0], "--rank", str(ty[1]),
+                         "--order", str(order), "--format", fmt])
+    assert code == 0 and out == _reference_ctilde(cd, order, fmt)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_TYPES_TO_12, st.integers(-40, 40), st.integers(-3, 16),
+       st.sampled_from(_FORMATS["export"]))
+def test_streamed_gamma_export_is_the_reference_graph(ty, p_lo, width, fmt):
+    # a negative width is an empty window
+    cd = rs.build_cartan(*ty)
+    p_hi = p_lo + width
+    code, out = _stdout(["export", "gamma", "--type", ty[0], "--rank", str(ty[1]),
+                         "--p-lo", str(p_lo), "--p-hi", str(p_hi), "--format", fmt])
+    expected = _reference_graph(fmt, "gamma", ar.delta_vertices(cd, p_lo, p_hi),
+                                sw.gamma_arrows(cd, p_lo, p_hi))
+    assert code == 0 and out == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(_TYPES_TO_12, st.integers(2, 13), st.integers(-40, 40), st.integers(0, 24),
+       st.sampled_from(_FORMATS["export"]))
+def test_streamed_gamma_j_export_is_the_reference_graph(ty, N, j_lo, width, fmt):
+    # the CLI rejects an empty domain (--j-lo > --j-hi) before any family
+    cd = rs.build_cartan(*ty)
+    Q = ar.monotone_quiver(cd)
+    argv = ["export", "gamma-j", "--type", ty[0], "--rank", str(ty[1]), "--N", str(N),
+            "--j-lo", str(j_lo), "--j-hi", str(j_lo + width), "--format", fmt]
+    try:
+        fam = sw.type_a_family(cd, Q, ar.default_height(Q, -2), N, j_lo, j_lo + width)
+    except ValueError:
+        assert _stdout(argv) == (2, "")
+        return
+    win = sw.gamma_J(cd, fam)
+    assert _stdout(argv) == (0, _reference_graph(fmt, "gamma_J", win.vertices, win.arrows))
+
+
+@st.composite
+def _graphs(draw):
+    """Vertices (pairs or ints), arrows sorted by source, and maybe attrs."""
+    pairs = draw(st.booleans())
+    keys = st.tuples(st.integers(1, 4), st.integers(-9, 9)) if pairs else st.integers(-9, 9)
+    vertices = tuple(draw(st.lists(keys, unique=True, max_size=8)))
+    arrows = []
+    if vertices:
+        arrows = sorted(draw(st.lists(st.tuples(st.sampled_from(vertices),
+                                                st.sampled_from(vertices),
+                                                st.integers(1, 3)), max_size=12)))
+    attrs = None
+    if pairs and draw(st.booleans()):
+        attrs = {v: {"i": v[0], "p": v[1], "root": draw(st.sampled_from(["1,0", "0,1,1"])),
+                     "shift": draw(st.integers(-3, 3))} for v in vertices}
+    return vertices, arrows, attrs
+
+
+@settings(max_examples=200, deadline=None)
+@given(_graphs(), st.sampled_from(_FORMATS["export"]))
+def test_streamed_graph_writers_are_the_reference_writers(graph, fmt):
+    vertices, arrows, attrs = graph
+    out = "".join(cli._emit_graph(fmt, "g", vertices, cli._arrow_rows(arrows), attrs))
+    assert out == _reference_graph(fmt, "g", vertices, arrows, attrs)
+
+
+@pytest.mark.parametrize("argv", [
+    ["ctilde", "--type", "A", "--rank", "3", "--order", "0"],
+    ["ctilde", "--type", "A", "--rank", "3", "--order", str(cli.MAX_ORDER + 1)],
+    ["ctilde", "--type", "A", "--rank", "3", "--format", "text"],
+    ["denominator", "--type", "A", "--rank", "3", "--i", "1", "--j", "2", "--format", "dot"],
+])
+def test_bad_order_or_format_exits_2_before_any_output(capsys, argv):
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:  # argparse rejects the format
+        code = exc.code
+    assert (code, capsys.readouterr().out) == (2, "")
+
+
+def test_a_table_format_is_checked_before_the_first_row():
+    def rows():
+        raise AssertionError("a row was read")
+        yield
+
+    with pytest.raises(cli.CliError, match="format 'text' not valid here"):
+        cli._emit_table(["i"], rows(), "text")
+
+
+def test_the_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()

@@ -33,6 +33,45 @@ def test_base_case_is_kronecker_delta():
                 assert t.value(i, j, 1) == (1 if i == j else 0)
 
 
+def _reference_ctilde_values(cd, L):
+    """The recurrence as first written: lists, one per neighbour, copied
+    into tuples at the end."""
+    n = cd.rank
+    layers = []
+    prev2 = [[0] * n for _ in range(n)]
+    prev1 = [[0] * n for _ in range(n)]
+    for m in range(L):
+        cur = []
+        for i in range(n):
+            row = [-x for x in prev2[i]]
+            for k in cd.adjacency[i]:
+                row = [a + b for a, b in zip(row, prev1[k - 1])]
+            if m == 0:
+                row[i] += 1
+            cur.append(row)
+        layers.append(cur)
+        prev2, prev1 = prev1, cur
+    return tuple(tuple(tuple(row) for row in layer) for layer in layers)
+
+
+@pytest.mark.parametrize("family,rank", rs.all_ade_types(12))
+def test_recurrence_matches_the_reference_loop(family, rank):
+    # every order 1..4h, so both the tables computed from ct(1) and those
+    # continued from the cached 2h table
+    cd = rs.build_cartan(family, rank)
+    longest = _reference_ctilde_values(cd, 4 * cd.h)
+    for L in range(1, 4 * cd.h + 1):
+        assert qc.ctilde_table(cd, L).values == longest[:L], L
+
+
+def test_a_longer_table_continues_the_period_table():
+    cd = rs.build_cartan("E", 6)
+    period = qc.ctilde_table(cd, 2 * cd.h).values
+    longer = qc.ctilde_table(cd, 4 * cd.h + 3).values
+    assert len(longer) == 4 * cd.h + 3
+    assert all(a is b for a, b in zip(longer, period))
+
+
 def _poly_series_quotient(num, den, order):
     """Coefficients of num(z)/den(z) as a power series, exactly."""
     num = list(num) + [0] * (order + 1 - len(num))

@@ -63,7 +63,10 @@ def test_gamma_arrows_match_all_pairs(ty, p_lo, width):
     # width -1 is an empty window (p_lo > p_hi), width 0 a single height
     cd = rs.build_cartan(*ty)
     p_hi = p_lo + width
-    expected = _all_pairs_arrows(cd, ar.delta_vertices(cd, p_lo, p_hi))
+    verts = ar.delta_vertices(cd, p_lo, p_hi)
+    expected = _all_pairs_arrows(cd, verts)
+    rows = list(sw.gamma_rows(cd, p_lo, p_hi))
+    assert [u for u, _ in rows] == list(verts)  # one row per source, empty or not
     assert tuple(sw.gamma_arrows(cd, p_lo, p_hi)) == expected
     assert sw.gamma_window(cd, p_lo, p_hi).arrows == expected
 
