@@ -9,6 +9,15 @@ the coefficient of z^m in C(z) * Ct(z) = Id gives the integer recurrence
 
 with ct(l) = 0 for l <= 0 (note N_ik = -1 exactly when k ~ i).
 
+One finite integer identity proves the whole infinite table.  Let
+P(z) = sum_{l=1}^{h-1} ct(l) z^l and nu the permutation matrix of i -> i*.
+If C(z) P(z) = Id + z^h nu, a polynomial identity of degree h and so h + 1
+integer matrix equations, then multiplying on the right by
+(Id + z^h nu)^-1 gives C(z)^-1 = P(z) sum_{k>=0} (-z^h nu)^k, that is
+ct(l + kh) = (-1)^k ct(l) nu^k with ct(0) = 0.  Periodicity ct(l + 2h) =
+ct(l) and ct(kh) = 0 are its even and l = 0 cases.  ``check_ctilde_inversion``
+checks the identity and every later layer of a table against it.
+
 The second route to the same table, the Coxeter-element formula, reads the
 knitting table of ``ar_quiver``; the Hom/Ext window formulas that read ct
 live in ``denominators``.
@@ -19,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations, repeat
-from operator import add, mul, sub
+from operator import add, sub
 
 from rmx import ar_quiver as ar
 from rmx.root_system import CartanData, Vec
@@ -37,9 +46,6 @@ class CTildeTable:
         if l < 1 or l > self.L:
             raise IndexError(f"l={l} outside table range 1..{self.L}")
         return self.values[l - 1][i - 1][j - 1]
-
-    def series(self, i: int, j: int) -> tuple[int, ...]:
-        return tuple(self.values[l][i - 1][j - 1] for l in range(self.L))
 
 
 @lru_cache(maxsize=None)
@@ -129,58 +135,64 @@ def ctilde_coxeter_table(cd: CartanData, Q, xi, L: int) -> CTildeTable:
     return CTildeTable(cd=cd, L=L, values=values)
 
 
-def rational_inversion_residual(cd: CartanData, L: int, z0):
-    """Exact residual of C(z0) * (truncated inverse) against the identity.
+def check_ctilde_inversion(t: CTildeTable) -> list[str]:
+    """Prove every layer of t to be that of C(z)^-1; returns violations.
 
-    Returns (max_abs_residual, tail_bound) as Fractions; the bound majorizes
-    the dropped tail using the 2h-periodicity of the coefficients, so the
-    residual must come in under it for a correct table.
-
-    With z0 = p/q in lowest terms, the truncated inverse S is T / q^L for
-    the integer matrix T = sum_l ct(l) p^l q^(L-l), and C(z0) has diagonal
-    (p^2 + q^2)/(pq); so every entry of C(z0) S - Id is an integer over the
-    one denominator p q^(L+1), and only the results are Fractions.
+    Row i of the z^d coefficient of C(z) P(z), 0 <= d <= h, is
+    ct(d+1)[i] + ct(d-1)[i] - sum_{k ~ i} ct(d)[k], with ct(l) = 0 outside
+    1..h-1.  Each later layer l + kh must equal (-1)^k ct(l) nu^k, whose
+    column j is column j* of ct(l) when k is odd.
     """
-    from fractions import Fraction
+    cd = t.cd
+    h, n = cd.h, cd.rank
+    if t.L < h - 1:
+        raise ValueError(f"table truncated at {t.L}, need at least h - 1 = {h - 1}")
+    ct = t.values
+    star = [s - 1 for s in cd.star]
+    zero = ((0,) * n,) * n
+    ident = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    nu = tuple(tuple(int(j == s) for j in range(n)) for s in star)
 
-    z0 = Fraction(z0)
-    if not 0 < abs(z0) <= Fraction(1, 4):
-        raise ValueError("sample point must satisfy 0 < |z0| <= 1/4")
-    if L < 4 * cd.h:
-        raise ValueError("need L >= 4h for a useful tail bound")
-    p, q = z0.numerator, z0.denominator
-    n, adj = cd.rank, cd.adjacency0
-    values = ctilde_table(cd, L).values
-    weights = [p ** l * q ** (L - l) for l in range(1, L + 1)]
-    # T[i][j] = sum over l of ct_ij(l) p^l q^(L-l)
-    T = [[sum(map(mul, series, weights)) for series in zip(*rows)]
-         for rows in zip(*values)]
-    diag, pq, one = p * p + q * q, p * q, p * q ** (L + 1)
-    resid = 0
-    for i in range(n):
-        for j in range(n):
-            num = diag * T[i][j] - pq * sum(T[k][j] for k in adj[i])
-            if i == j:
-                num -= one
-            resid = max(resid, abs(num))
-    cmax = max(abs(c) for layer in values for row in layer for c in row)
-    degree = max(len(nbrs) for nbrs in adj)
-    # row norm (p^2 + q^2)/(|p| q) + degree, times cmax |z0|^(L+1) / (1 - |z0|)
-    tail = Fraction((diag + degree * abs(pq)) * cmax * abs(p) ** L,
-                    q ** (L + 1) * (q - abs(p)))
-    return Fraction(resid, abs(one)), tail
+    def p(l):
+        return ct[l - 1] if 1 <= l <= h - 1 else zero
+
+    bad: list[str] = []
+    for d in range(h + 1):
+        above, here, below = p(d + 1), p(d), p(d - 1)
+        want = ident if d == 0 else nu if d == h else zero
+        for i, nbrs in enumerate(cd.adjacency0):
+            total = map(sum, zip(*(here[k] for k in nbrs))) if nbrs else repeat(0)
+            row = tuple(map(sub, map(add, above[i], below[i]), total))
+            if row != want[i]:
+                bad += [f"C(z)P(z) = Id + z^h nu fails in degree {d} at ({i + 1},{j + 1})"
+                        for j, (v, w) in enumerate(zip(row, want[i])) if v != w]
+    # layer l of P(z) sum_k (-z^h nu)^k is layers[l % 2h]
+    layers = [p(r) for r in range(h)]
+    layers += [tuple(tuple(-row[s] for s in star) for row in layer) for layer in layers]
+    for l in range(h, t.L + 1):
+        want = layers[l % (2 * h)]
+        if ct[l - 1] != want:
+            bad += [f"ct(l + kh) = (-1)^k ct(l) nu^k fails at ({i + 1},{j + 1},{l})"
+                    for i, (row, wrow) in enumerate(zip(ct[l - 1], want))
+                    for j, (v, w) in enumerate(zip(row, wrow)) if v != w]
+    return bad
 
 
 def check_ctilde_identities(t: CTildeTable) -> list[str]:
-    """Verify the eight structural identities; returns violations (ideally [])."""
+    """Verify the structural identities (1), (2), (4), (5), (7) and (8);
+    returns violations (ideally []).
+
+    Periodicity (3), ct(l + 2h) = ct(l), and (6), ct(kh) = 0, are the even
+    and the l = 0 cases of ct(l + kh) = (-1)^k ct(l) nu^k, which
+    ``check_ctilde_inversion`` proves for every layer.
+    """
     cd = t.cd
     h = cd.h
     if t.L < 2 * h:
         raise ValueError(f"table truncated at {t.L}, need at least 2h = {2 * h}")
     bad: list[str] = []
     n = cd.rank
-    # zero-based from here on; L >= 2h and the 4h table below keep every
-    # index inside its table
+    # zero-based from here on; L >= 2h keeps every index inside the table
     ct = t.values
     star = [s - 1 for s in cd.star]
     autos = [[s - 1 for s in sigma] for sigma in _diagram_automorphisms(cd)]
@@ -198,19 +210,10 @@ def check_ctilde_identities(t: CTildeTable) -> list[str]:
                     bad.append(f"(4) ct(l) = -ct(2h-l) fails at ({i + 1},{j + 1},{l})")
                 if 1 <= l <= h - 1 and v != ct[h - l - 1][j][star[i]]:
                     bad.append(f"(5) ct_ij(l) = ct_(j,i*)(h-l) fails at ({i + 1},{j + 1},{l})")
-                if l % h == 0 and v != 0:
-                    bad.append(f"(6) ct(kh) = 0 fails at ({i + 1},{j + 1},{l})")
                 if 1 <= l <= h - 1 and v < 0:
                     bad.append(f"(7) ct(l) >= 0 on 1..h-1 fails at ({i + 1},{j + 1},{l})")
                 if h + 1 <= l <= 2 * h - 1 and v > 0:
                     bad.append(f"(8) ct(l) <= 0 on h+1..2h-1 fails at ({i + 1},{j + 1},{l})")
-    # (3) periodicity needs one extra period; recompute a longer table.
-    ct2 = ctilde_table(cd, 4 * h).values
-    for i in range(n):
-        for j in range(n):
-            for l in range(2 * h):
-                if ct[l][i][j] != ct2[l + 2 * h][i][j]:
-                    bad.append(f"(3) period 2h fails at ({i + 1},{j + 1},{l + 1})")
     return bad
 
 

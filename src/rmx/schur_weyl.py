@@ -87,16 +87,6 @@ def gamma_arrows(cd: CartanData, p_lo: int, p_hi: int
     return ((u, v, m) for u, row in gamma_rows(cd, p_lo, p_hi) for v, m in row)
 
 
-def gamma_window(cd: CartanData, p_lo: int, p_hi: int) -> GammaWindow:
-    """The Ext quiver restricted to heights p_lo..p_hi.
-
-    The arrows are those of ``gamma_arrows``: pole orders ct_ji(l),
-    1 <= l <= h - 1, of the denominator formula, read off the ct table.
-    """
-    return GammaWindow(vertices=tuple(ar.delta_vertices(cd, p_lo, p_hi)),
-                       arrows=tuple(gamma_arrows(cd, p_lo, p_hi)))
-
-
 def gamma_J(cd: CartanData, fam: FamilyMap) -> GammaWindow:
     """Full subquiver on the family image, re-indexed by the domain.  Its
     arrows are read off the per-pair ct lists of ``_ext_poles`` through the

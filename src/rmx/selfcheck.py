@@ -78,17 +78,17 @@ def check_ctilde_identities(max_rank: int = 8):
 
 
 def check_ctilde_inversion(max_rank: int = 8):
-    """Exact rational evaluation of C(z0) times the truncated inverse."""
-    from fractions import Fraction
-
+    """The certificate C(z) P(z) = Id + z^h nu on the 4h table of every
+    type.  The Coxeter tables need none of their own: ``ctilde-dual-method``
+    requires each to equal the recurrence table, so it carries over."""
     bad = []
-    sample = ([c for c in _types(max_rank) if c.label() in ("A2", "A3", "D4", "E6", "E8")]
-              or _types(max_rank))
-    for cd in sample:
-        resid, bound = qc.rational_inversion_residual(cd, 4 * cd.h, Fraction(1, 5))
-        if resid > bound:
-            bad.append(f"{cd.label()}: residual {resid} exceeds bound {bound}")
-    return not bad, "; ".join(bad) if bad else f"residuals within tail bounds ({len(sample)} types)"
+    types = _types(max_rank)
+    for cd in types:
+        v = qc.check_ctilde_inversion(qc.ctilde_table(cd, 4 * cd.h))
+        if v:
+            bad.append(f"{cd.label()}: {v[0]} (+{len(v) - 1} more)")
+    detail = f"C(z)P(z) = Id + z^h nu, and ct to 4h follows it ({len(types)} types)"
+    return not bad, "; ".join(bad) if bad else detail
 
 
 def check_denominators(max_rank: int = 8):

@@ -34,8 +34,11 @@ def test_criterion_01_dual_method_ctilde():
 
 
 def test_criterion_02_ctilde_identity_suite():
-    with criterion(2, "eight structural identities at L = 2h, rank <= 8"):
+    with criterion(2, "six structural identities at L = 2h and C(z)P(z) = Id + z^h nu"
+                      " to 4h, rank <= 8"):
         passed, detail = selfcheck.check_ctilde_identities(max_rank=8)
+        assert passed, detail
+        passed, detail = selfcheck.check_ctilde_inversion(max_rank=8)
         assert passed, detail
 
 

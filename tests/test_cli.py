@@ -304,7 +304,7 @@ def test_cli_golden_bytes(capsys, argv):
 # The full selfcheck report without the "seconds" of each check: every
 # verdict and detail line.  A change meant to keep all results keeps this
 # digest; one that changes a check on purpose updates it and says why.
-SELFCHECK_FULL_SHA256 = "428ec812aebe8bbd3d3d33bf84ec8cca070fa9b996abaa092b76120a86d5bd30"
+SELFCHECK_FULL_SHA256 = "e0879a0fdc12a9997136667323530fa15e794929c3148ba200f69bd532e71753"
 
 
 def test_selfcheck_full_report_is_pinned():
@@ -445,7 +445,8 @@ def _reference_emit_table(header, rows, fmt):
 def _reference_ctilde(cd, order, fmt):
     t = qc.ctilde_table(cd, order)
     header = ["i", "j"] + [f"l{l}" for l in range(1, order + 1)]
-    rows = [[i, j] + list(t.series(i, j)) for i in cd.vertices for j in cd.vertices]
+    rows = [[i, j] + [t.value(i, j, l) for l in range(1, order + 1)]
+            for i in cd.vertices for j in cd.vertices]
     return _reference_emit_table(header, rows, fmt)
 
 

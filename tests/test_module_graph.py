@@ -3,7 +3,7 @@
 The representation oracle and its linear-algebra kernel are the second,
 independent route to every answer, so neither may reach the ct table, the
 window formulas or anything built on them, not even through a call-time
-import.
+import.  No module of the package uses ``Fraction``.
 """
 
 import ast
@@ -64,3 +64,9 @@ def test_oracle_route_imports_no_combinatorics():
     graph = module_graph()
     for start in ORACLE_ROUTE:
         assert not closure(graph, start) & COMBINATORICS_ONLY, (start, closure(graph, start))
+
+
+def test_the_package_holds_no_fraction():
+    # the ct table is proved by an integer identity and the oracle
+    # eliminates in integers, so no module needs one
+    assert [p.name for p in sorted(PACKAGE.glob("*.py")) if "Fraction" in p.read_text()] == []

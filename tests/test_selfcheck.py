@@ -91,7 +91,8 @@ def test_one_wrong_ct_entry_fails_inversion_and_identities(monkeypatch, family, 
     monkeypatch.setattr(qc, "ctilde_table", shifted)
     passed, detail = sc.check_ctilde_inversion(rank)
     assert not passed
-    assert detail.startswith(f"{target.label()}: residual ")
+    reference = qc.check_ctilde_inversion(qc.ctilde_table(target, 4 * target.h))
+    assert detail == f"{target.label()}: {reference[0]} (+{len(reference) - 1} more)"
     passed, detail = sc.check_ctilde_identities(rank)
     assert not passed
     reference = identities_by_value(qc.ctilde_table(target, 2 * target.h))
@@ -136,10 +137,11 @@ def test_the_sampled_pairs_draw_as_the_reference_loop_does():
 
 
 def test_inversion_counts_the_types_it_checked():
-    # no sampled label fits rank 1, so A1 itself is checked
-    assert sc.check_ctilde_inversion(1) == (True, "residuals within tail bounds (1 types)")
-    assert sc.check_ctilde_inversion(5)[1] == "residuals within tail bounds (3 types)"
-    assert sc.check_ctilde_inversion(8)[1] == "residuals within tail bounds (5 types)"
+    # every type of rank <= max_rank
+    detail = "C(z)P(z) = Id + z^h nu, and ct to 4h follows it ({} types)"
+    assert sc.check_ctilde_inversion(1) == (True, detail.format(1))
+    assert sc.check_ctilde_inversion(5)[1] == detail.format(7)
+    assert sc.check_ctilde_inversion(8)[1] == detail.format(16)
 
 
 def test_dual_method_builds_one_recurrence_table_per_type(monkeypatch):
