@@ -12,9 +12,9 @@ for ct_ij(l) read it at any height function of Q.  A Coxeter step is one
 ``root_system.reflect_word`` call over the whole Coxeter word, on one list in
 place; that is the only reflection routine used here.
 
-This module reads only ``root_system``: the ct table and the Hom/Ext window
-formulas live above it, so the representation oracle, which builds on it,
-stays independent of them.
+This module reads only ``root_system``: the ct table and the zero table of
+``denominators`` that every Hom/Ext window query reads live above it, so the
+representation oracle, which builds on it, stays independent of them.
 """
 
 from __future__ import annotations
@@ -185,12 +185,17 @@ def tau_object(Q: DynkinQuiver, obj: IndecObject, times: int) -> IndecObject:
     return obj
 
 
-def check_delta_vertex(cd: CartanData, x: DeltaVertex) -> None:
-    i, p = x
-    if not 1 <= i <= cd.rank:
-        raise ValueError(f"vertex index {i} out of range")
-    if (p - cd.eps_of(i)) % 2 != 0:
-        raise ValueError(f"({i},{p}) violates the parity constraint")
+def check_vertex(cd: CartanData, *indices: int) -> None:
+    for i in indices:
+        if not 1 <= i <= cd.rank:
+            raise ValueError(f"vertex index {i} out of range")
+
+
+def check_delta_vertex(cd: CartanData, *xs: DeltaVertex) -> None:
+    for i, p in xs:
+        check_vertex(cd, i)
+        if (p - cd.eps_of(i)) % 2 != 0:
+            raise ValueError(f"({i},{p}) violates the parity constraint")
 
 
 @lru_cache(maxsize=None)

@@ -152,8 +152,7 @@ def _query_vertices(args):
     x = _parse_vertex(args.x)
     y = _parse_vertex(args.y)
     try:
-        ar.check_delta_vertex(cd, x)
-        ar.check_delta_vertex(cd, y)
+        ar.check_delta_vertex(cd, x, y)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
     return cd, x, y

@@ -1,15 +1,16 @@
 """Denominators of normalized R-matrices and the simple-pole combinatorics.
 
 The denominator between fundamental modules i and j is
-prod_{l=1}^{h-1} (u - q^(l+1))^(ct_ij(l)); everything else here (the Hom
-window ``hom_dim``, pole orders as the Ext window, irreducibility of tensor
-pairs, Dorey middle terms) is a window query against the same integer table,
-cross-checkable through explicit representations.
+prod_{l=1}^{h-1} (u - q^(l+1))^(ct_ij(l)).  Every window query (pole orders
+as the Ext window, the Hom window ``hom_dim``, irreducibility, the arrows of
+the Ext quiver in ``schur_weyl``) reads these zeros off ``zero_orders``, built
+once per type; Dorey middle terms are cross-checked through representations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from rmx import ar_quiver as ar
 from rmx import quantum_cartan as qc
@@ -96,41 +97,43 @@ class Monomial:
 # the denominator formula
 
 
+@lru_cache(maxsize=None)
+def zero_orders(cd: CartanData) -> tuple[tuple[dict[int, int], ...], ...]:
+    """zero_orders(cd)[i-1][j-1]: the zeros of d_ij(u), each exponent
+    e = l + 1 -> its order ct_ij(l) != 0 for 1 <= l <= h - 1, by ascending e.
+    One table per type, shared by every caller, so read it and never write."""
+    layers = qc.ctilde_table(cd, 2 * cd.h).values[:cd.h - 1]
+    return tuple(tuple({l + 1: m for l, layer in enumerate(layers, 1) if (m := layer[i][j])}
+                       for j in range(cd.rank)) for i in range(cd.rank))
+
+
 def denominator(cd: CartanData, i: int, j: int) -> Denominator:
     """d_ij(u) with zeros at q^(l+1), multiplicity ct_ij(l), 1 <= l <= h-1."""
-    values = qc.ctilde_table(cd, 2 * cd.h).values
-    factors = tuple((l + 1, m) for l, layer in enumerate(values[:cd.h - 1], 1)
-                    if (m := layer[i - 1][j - 1]))
-    return Denominator(factors=factors, convention="q")
+    ar.check_vertex(cd, i, j)
+    return Denominator(factors=tuple(zero_orders(cd)[i - 1][j - 1].items()), convention="q")
 
 
 def denominator_kashiwara(cd: CartanData, i: int, j: int) -> Denominator:
     """Same multiplicities with zeros at (-q)^(l+1) (crystal-basis convention)."""
-    d = denominator(cd, i, j)
-    return Denominator(factors=d.factors, convention="minus_q")
-
-
-def hom_dim(cd: CartanData, x: DeltaVertex, y: DeltaVertex) -> int:
-    """dim Hom from the object at x to the object at y:
-    ct_ij(r - p + 1) when 0 <= r - p <= h - 2, else 0."""
-    ar.check_delta_vertex(cd, x)
-    ar.check_delta_vertex(cd, y)
-    (i, p), (j, r) = x, y
-    if 0 <= r - p <= cd.h - 2:
-        return qc.ctilde(cd, i, j, r - p + 1)
-    return 0
+    return Denominator(factors=denominator(cd, i, j).factors, convention="minus_q")
 
 
 def pole_order(cd: CartanData, x: DeltaVertex, y: DeltaVertex) -> int:
-    """Zero order of d_ij(u) at u = q^(r-p) for x = (i,p), y = (j,r).
+    """Zero order of d_ij(u) at u = q^(r-p) for x = (i,p), y = (j,r):
+    ct_ij(r - p - 1) when 1 <= r - p - 1 <= h - 1, else 0.  This is dim
+    Ext^1 from the object at y into the object at x."""
+    ar.check_delta_vertex(cd, x, y)
+    (i, p), (j, r) = x, y
+    return zero_orders(cd)[i - 1][j - 1].get(r - p, 0)
 
-    This is dim Ext^1 from the object at y into the object at x, which AR
-    duality Ext^1(Y, X) = D Hom(X, tau Y) reads through the Hom window at
-    tau y = (j, r - 2): ct_ij(r - p - 1) when 1 <= r - p - 1 <= h - 1, else 0.
-    """
-    ar.check_delta_vertex(cd, y)  # so an error names y, not tau y
+
+def hom_dim(cd: CartanData, x: DeltaVertex, y: DeltaVertex) -> int:
+    """dim Hom from the object at x to the object at y, ct_ij(r - p + 1) when
+    0 <= r - p <= h - 2, else 0: AR duality Hom(X, Y) = D Ext^1(tau^-1 Y, X)
+    reads it as the pole order at tau^-1 y = (j, r + 2)."""
+    ar.check_delta_vertex(cd, y)  # so an error names y, not tau^-1 y
     j, r = y
-    return hom_dim(cd, x, (j, r - 2))
+    return pole_order(cd, x, (j, r + 2))
 
 
 def is_tensor_irreducible(cd: CartanData, x: DeltaVertex, y: DeltaVertex) -> bool:
@@ -180,12 +183,11 @@ def common_heart(cd: CartanData, x: DeltaVertex, y: DeltaVertex):
     """(Q, lo, root_x, root_y): x and y as modules at the least height
     function lo whose heart holds both, or None if no height function does.
     """
+    ar.check_delta_vertex(cd, x, y)
     lo = least_height(cd, x, y)
     if lo is None:
         return None
     Q = heart_quiver(cd, lo)
-    ar.check_delta_vertex(cd, x)
-    ar.check_delta_vertex(cd, y)
     return Q, lo, ar._happel_object(Q, lo, x).root, ar._happel_object(Q, lo, y).root
 
 

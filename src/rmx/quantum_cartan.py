@@ -19,8 +19,8 @@ ct(l) and ct(kh) = 0 are its even and l = 0 cases.  ``check_ctilde_inversion``
 checks the identity and every later layer of a table against it.
 
 The second route to the same table, the Coxeter-element formula, reads the
-knitting table of ``ar_quiver``; the Hom/Ext window formulas that read ct
-live in ``denominators``.
+knitting table of ``ar_quiver``; every window query reads ct through the
+zero table ``denominators.zero_orders``.
 """
 
 from __future__ import annotations
@@ -43,8 +43,9 @@ class CTildeTable:
     values: tuple[tuple[Vec, ...], ...]  # values[l-1][i-1][j-1]
 
     def value(self, i: int, j: int, l: int) -> int:
-        if l < 1 or l > self.L:
-            raise IndexError(f"l={l} outside table range 1..{self.L}")
+        n = self.cd.rank
+        if not (1 <= i <= n and 1 <= j <= n and 1 <= l <= self.L):
+            raise IndexError(f"({i},{j},{l}) outside table range 1..{n} x 1..{n} x 1..{self.L}")
         return self.values[l - 1][i - 1][j - 1]
 
 
@@ -89,6 +90,7 @@ def ctilde(cd: CartanData, i: int, j: int, l: int) -> int:
     """Single coefficient ct_ij(l), using 2h-periodicity for large l."""
     if l < 1:
         raise ValueError("l must be >= 1")
+    ar.check_vertex(cd, i, j)
     period = 2 * cd.h
     t = ctilde_table(cd, period)
     return t.value(i, j, (l - 1) % period + 1)

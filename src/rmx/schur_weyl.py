@@ -1,6 +1,8 @@
 """Combinatorics of Schur-Weyl families: the Ext quiver on repetition-quiver
 vertices, type-A subquiver families, Kostant partitions and graded nilpotent
-orbit bookkeeping for the monotone A-infinity quiver."""
+orbit bookkeeping for the monotone A-infinity quiver.  The Ext quiver has an
+arrow (i, r) -> (j, r - e) of multiplicity m for each zero q^e of order m of
+d_ji(u), read off ``denominators.zero_orders``."""
 
 from __future__ import annotations
 
@@ -9,7 +11,7 @@ from itertools import combinations_with_replacement
 from typing import Iterator
 
 from rmx import ar_quiver as ar
-from rmx import quantum_cartan as qc
+from rmx import denominators as dn
 from rmx import root_system as rs
 from rmx.ar_quiver import DeltaVertex, DynkinQuiver, IndecObject
 from rmx.denominators import Monomial
@@ -58,26 +60,16 @@ class FamilyMap:
         return self.image[j - self.j_lo]
 
 
-def _ext_poles(cd: CartanData) -> list[list[list[tuple[int, int]]]]:
-    """poles[i-1][j-1]: the nonzero (l, ct_ji(l)), 1 <= l <= h - 1, by
-    descending l.  Each is an arrow (i, r) -> (j, r - l - 1) of the Ext quiver,
-    by ascending target height; ct_ji(l) != 0 forces the target's parity."""
-    values = qc.ctilde_table(cd, 2 * cd.h).values
-    ls = range(cd.h - 1, 0, -1)
-    return [[[(l, values[l - 1][j][i]) for l in ls if values[l - 1][j][i]]
-             for j in range(cd.rank)] for i in range(cd.rank)]
-
-
 def gamma_rows(cd: CartanData, p_lo: int, p_hi: int
                ) -> Iterator[tuple[DeltaVertex, list[tuple[DeltaVertex, int]]]]:
     """The Ext quiver on heights p_lo..p_hi by source row, lazily: (u, [(v, m),
     ...]) for each source u in ``delta_vertices`` order, its targets in that
-    order too.  Each row is read off the per-pair ct lists of ``_ext_poles``."""
-    poles = _ext_poles(cd)
+    order too, read off the zeros of d_ji by descending exponent."""
+    zeros = dn.zero_orders(cd)
     for u in ar.delta_vertices(cd, p_lo, p_hi):
         i, r = u
-        yield u, [((j, r - l - 1), m) for j, pairs in enumerate(poles[i - 1], 1)
-                  for l, m in pairs if r - l - 1 >= p_lo]
+        yield u, [((j, r - e), m) for j, row in enumerate(zeros, 1)
+                  for e, m in reversed(row[i - 1].items()) if r - e >= p_lo]
 
 
 def gamma_arrows(cd: CartanData, p_lo: int, p_hi: int
@@ -89,17 +81,15 @@ def gamma_arrows(cd: CartanData, p_lo: int, p_hi: int
 
 def gamma_J(cd: CartanData, fam: FamilyMap) -> GammaWindow:
     """Full subquiver on the family image, re-indexed by the domain.  Its
-    arrows are read off the per-pair ct lists of ``_ext_poles`` through the
-    map from image vertex to domain index, by source, then by target."""
-    for v in fam.image:
-        ar.check_delta_vertex(cd, v)
-    poles = _ext_poles(cd)
+    arrows are read off the zeros of d_ki through the map from image vertex
+    to domain index, by source, then by target."""
+    ar.check_delta_vertex(cd, *fam.image)
+    zeros = dn.zero_orders(cd)
     index = dict(zip(fam.image, fam.domain))
     arrows = []
     for j, (i, r) in zip(fam.domain, fam.image):
-        arrows += sorted((j, index[k, r - l - 1], m)
-                         for k, pairs in enumerate(poles[i - 1], 1)
-                         for l, m in pairs if (k, r - l - 1) in index)
+        arrows += sorted((j, index[k, r - e], m) for k, row in enumerate(zeros, 1)
+                         for e, m in row[i - 1].items() if (k, r - e) in index)
     return GammaWindow(vertices=tuple(fam.domain), arrows=tuple(arrows))
 
 

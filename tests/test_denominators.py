@@ -13,6 +13,7 @@ from rmx import linalg as la
 from rmx import quantum_cartan as qc
 from rmx import rep_oracle as ro
 from rmx import root_system as rs
+from rmx import schur_weyl as sw
 from rmx.ar_quiver import IndecObject
 from rmx.denominators import Monomial
 
@@ -139,6 +140,50 @@ def test_pole_order_examples():
     assert dn.pole_order(cd2, (1, 0), (2, 3)) == 1
 
 
+@pytest.mark.parametrize("bad", [0, -1, 4])
+def test_denominators_reject_vertex_indices_outside_1_to_rank(bad):
+    # on A3, d(0, 3) would otherwise read d_33 and d(-1, 1) read d_21
+    cd = rs.build_cartan("A", 3)
+    for i, j in ((bad, 1), (1, bad), (bad, 3)):
+        for read in (dn.denominator, dn.denominator_kashiwara):
+            with pytest.raises(ValueError, match=f"vertex index {bad} out of range"):
+                read(cd, i, j)
+    # a pair no heart holds was answered None before its vertices were checked
+    with pytest.raises(ValueError, match=f"vertex index {bad} out of range"):
+        dn.common_heart(cd, (bad, 0), (1, 40))
+
+
+def test_the_window_queries_of_one_type_read_its_ct_table_once(monkeypatch):
+    cd = rs.build_cartan("A", 3)
+    Q = ar.monotone_quiver(cd)
+    calls = []
+    ctilde_table = qc.ctilde_table
+
+    def counted(*args):
+        calls.append(args)
+        return ctilde_table(*args)
+
+    monkeypatch.setattr(qc, "ctilde_table", counted)
+    dn.zero_orders.cache_clear()
+    for p_lo, p_hi in ((-4, 4), (0, 8), (-10, -2)):
+        assert list(sw.gamma_rows(cd, p_lo, p_hi))
+    fam = sw.type_a_family(cd, Q, ar.default_height(Q, -2), 4, -3, 3)
+    assert sw.gamma_J(cd, fam).arrows
+    for i, j in product(cd.vertices, repeat=2):
+        dn.denominator(cd, i, j)
+        dn.denominator_kashiwara(cd, i, j)
+    assert calls == [(cd, 2 * cd.h)]
+
+
+def reference_hom_dim(cd, x, y):
+    """The Hom window read directly: ct_ij(r - p + 1) when 0 <= r - p <= h - 2,
+    else 0."""
+    (i, p), (j, r) = x, y
+    if 0 <= r - p <= cd.h - 2:
+        return qc.ctilde(cd, i, j, r - p + 1)
+    return 0
+
+
 def reference_ext1_dim(cd, x, y):
     """The Ext window read directly: dim Ext^1 from the object at y into the
     object at x is ct_ij(r - p - 1) when 1 <= r - p - 1 <= h - 1, else 0."""
@@ -154,13 +199,14 @@ def reference_ext1_dim(cd, x, y):
 @pytest.mark.parametrize("parity", [0, 1])
 @pytest.mark.parametrize("family,rank", rs.all_ade_types(8))
 def test_pole_order_is_the_ext_window(family, rank, parity):
-    # pole_order reads the Ext window through the Hom window at tau y
-    # (AR duality); every ordered pair at heights -h-3..h+3 sees both ends
-    # of the window and the zeros beyond them
+    # hom_dim reads the Hom window through the Ext window at tau^-1 y (AR
+    # duality); every ordered pair at heights -h-3..h+3 sees both ends of
+    # each window and the zeros beyond them
     cd = rs.build_cartan(family, rank, parity_base=parity)
     verts = ar.delta_vertices(cd, -cd.h - 3, cd.h + 3)
     for x, y in product(verts, repeat=2):
         assert dn.pole_order(cd, x, y) == reference_ext1_dim(cd, x, y), (x, y)
+        assert dn.hom_dim(cd, x, y) == reference_hom_dim(cd, x, y), (x, y)
 
 
 def test_pole_order_rejects_the_vertex_it_was_given():

@@ -54,6 +54,14 @@ def test_the_graph_reads_every_module():
         assert deps <= graph.keys()
 
 
+def test_the_ct_table_has_three_readers():
+    # every window query reads ct through the zero table of denominators;
+    # cli prints the table and selfcheck certifies it
+    graph = module_graph()
+    assert {m for m, deps in graph.items() if "quantum_cartan" in deps} == {
+        "denominators", "cli", "selfcheck"}
+
+
 def test_module_graph_has_no_cycle():
     graph = module_graph()
     cyclic = sorted(m for m in graph if m in closure(graph, m))

@@ -328,6 +328,18 @@ def test_identity_violations_match_the_reference_loop(family, rank):
         assert got or qc.check_ctilde_inversion(bad)
 
 
+@pytest.mark.parametrize("bad", [0, -1, 4])
+def test_vertex_indices_outside_1_to_rank_are_rejected(bad):
+    # a negative or zero index would otherwise wrap around to another entry
+    cd = rs.build_cartan("A", 3)
+    t = qc.ctilde_table(cd, 8)
+    for i, j in ((bad, 1), (1, bad), (bad, bad)):
+        with pytest.raises(ValueError, match=f"vertex index {bad} out of range"):
+            qc.ctilde(cd, i, j, 1)
+        with pytest.raises(IndexError, match="outside table range"):
+            t.value(i, j, 1)
+
+
 def test_periodic_accessor_matches_long_table():
     cd = rs.build_cartan("A", 3)
     long = qc.ctilde_table(cd, 6 * cd.h)
