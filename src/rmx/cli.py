@@ -13,8 +13,11 @@ exits 2 with a message:
 
 Tables and graph exports stream, one chunk per row, so their time and memory
 are proportional to the output: D64 ``export gamma`` over 64 heights (34 MB)
-takes about 0.9 s at a 35 MB peak RSS, and D64 ``ctilde --order 512
---format json`` about 1 s at 35 MB (Python 3.11, shared 2-CPU host).
+takes about 0.7 s at a 32 MB peak RSS, and D64 ``ctilde --order 512
+--format json`` about 1.2 s at 34 MB (Python 3.11, shared 2-CPU host).  A
+row is joined from text made once per export: an arrow is its source's head
+followed by the tail of its (target, multiplicity), and a CSV or Markdown
+cell is the text of its value.
 """
 
 from __future__ import annotations
@@ -95,16 +98,30 @@ def _emit_table(header: list[str], rows, fmt: str):
     return _table_chunks(header, rows, fmt)
 
 
+class _Texts(dict):
+    """value -> its text, each made by ``make`` on first use; values that
+    compare equal (1 and True) share one text."""
+
+    def __init__(self, make=str):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, value):
+        text = self[value] = self.make(value)
+        return text
+
+
 def _table_chunks(header, rows, fmt):
+    cell = _Texts().__getitem__  # each distinct cell value formatted once
     if fmt == "csv":
         yield ",".join(header) + "\n"
         for row in rows:
-            yield ",".join(map(str, row)) + "\n"
+            yield ",".join(map(cell, row)) + "\n"
     elif fmt == "markdown-table":
         yield "| " + " | ".join(header) + " |\n"
         yield "|" + "|".join(" --- " for _ in header) + "|\n"
         for row in rows:
-            yield "| " + " | ".join(map(str, row)) + " |\n"
+            yield "| " + " | ".join(map(cell, row)) + " |\n"
     else:
         # json.dumps of the whole list, one row at a time
         yield "["
@@ -202,15 +219,17 @@ def _arrow_rows(arrows):
 
 def _json_graph(vertices, rows, vertex_attrs=None):
     """``_emit_json({"arrows": [...], "vertices": [...]})`` in chunks, one per
-    source row (u, [(v, m), ...]); each vertex key is formatted once and the
-    rows are read as they come."""
+    source row (u, [(v, m), ...]), rows read as they come.  An arrow's text
+    is its source's head ``{"from":u,"mult":`` and the tail ``m,"to":v}`` of
+    its (v, m), each made once."""
     key = {v: json.dumps(_vkey(v)) for v in vertices}
+    tail = _Texts(lambda vm: f'{vm[1]},"to":{key[vm[0]]}}}').__getitem__
     yield '{"arrows":['
     sep = ""
     for u, row in rows:
         if row:
             head = f'{{"from":{key[u]},"mult":'
-            yield sep + ",".join([f'{head}{m},"to":{key[v]}}}' for v, m in row])
+            yield sep + head + ("," + head).join(map(tail, row))
             sep = ","
     yield '],"vertices":['
     yield (json.dumps([vertex_attrs[v] for v in vertices], sort_keys=True,
@@ -221,8 +240,10 @@ def _json_graph(vertices, rows, vertex_attrs=None):
 
 def _emit_dot(name: str, vertices, rows, vertex_attrs=None):
     """The DOT graph in chunks, one per source row (u, [(v, m), ...]), rows
-    read as they come."""
+    read as they come.  An arrow line is its source's head ``  "u" -> "``
+    and the tail ``v" [mult=m];`` of its (v, m), each made once."""
     key = {v: _vkey(v) for v in vertices}
+    tail = _Texts(lambda vm: f'{key[vm[0]]}" [mult={vm[1]}];\n').__getitem__
     yield f"digraph {name} {{\n"
     for v in vertices:
         extra = vertex_attrs[v] if vertex_attrs else {}
@@ -230,8 +251,9 @@ def _emit_dot(name: str, vertices, rows, vertex_attrs=None):
                           if k not in ("i", "p", "j"))
         yield f'  "{key[v]}"' + (f" [{attrs}]" if attrs else "") + ";\n"
     for u, row in rows:
-        head = f'  "{key[u]}" -> "'
-        yield "".join([f'{head}{key[v]}" [mult={m}];\n' for v, m in row])
+        if row:
+            head = f'  "{key[u]}" -> "'
+            yield head + head.join(map(tail, row))
     yield "}\n"
 
 
@@ -257,24 +279,20 @@ def cmd_export(args):
         xi = _height(Q, args.xi1)
         vertices = ar.delta_vertices(cd, args.p_lo, args.p_hi)
         vset = set(vertices)
-        arrows = []
-        for i, p in vertices:
-            for j in cd.neighbors(i):
-                if (j, p + 1) in vset:
-                    arrows.append(((i, p), (j, p + 1), 1))
-        arrows.sort()
+        # the mesh arrows (i, p) -> (j, p + 1), by source, then by target
+        targets = [sorted(cd.neighbors(i)) for i in cd.vertices]
+        rows = (((i, p), [((j, p + 1), 1) for j in targets[i - 1] if (j, p + 1) in vset])
+                for i, p in vertices)
+        # ar._happel_object at each vertex, with the tau-orbit table read once:
+        # _height checked xi, and delta_vertices are valid by construction
+        orbits, cell = ar._tau_orbits(Q), _Texts().__getitem__
         attrs = {}
-        for v in vertices:
-            # _height checked xi, and delta_vertices are valid by construction
-            obj = ar._happel_object(Q, xi, v)
-            attrs[v] = {
-                "i": v[0],
-                "p": v[1],
-                "root": ",".join(map(str, obj.root)),
-                "shift": obj.shift,
-            }
-        return _emit_graph(args.format, "ar_quiver", vertices, _arrow_rows(arrows),
-                           attrs)
+        for i, p in vertices:
+            periods, s = divmod((xi[i - 1] - p) // 2, cd.h)
+            root, shift = orbits[i - 1][s]
+            attrs[i, p] = {"i": i, "p": p, "root": ",".join(map(cell, root)),
+                           "shift": shift - 2 * periods}
+        return _emit_graph(args.format, "ar_quiver", vertices, rows, attrs)
     if args.what == "gamma":
         _check_p_window(args)
         return _emit_graph(args.format, "gamma",

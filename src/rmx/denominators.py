@@ -183,7 +183,6 @@ def common_heart(cd: CartanData, x: DeltaVertex, y: DeltaVertex):
     """(Q, lo, root_x, root_y): x and y as modules at the least height
     function lo whose heart holds both, or None if no height function does.
     """
-    ar.check_delta_vertex(cd, x, y)
     lo = least_height(cd, x, y)
     if lo is None:
         return None
@@ -201,6 +200,7 @@ def least_height(cd: CartanData, x: DeltaVertex,
     d(i, v), r - d(j, v)) and hi_v = min(p + h - 2 + d(i*, v), r + h - 2 +
     d(j*, v)).  Dorey's rule reads the middle term off any such heart.
     """
+    ar.check_delta_vertex(cd, x, y)
     (i, p), (j, r) = x, y
     d, top = cd.distance, cd.h - 2
     lo = tuple(max(p - a, r - b) for a, b in zip(d[i - 1], d[j - 1]))

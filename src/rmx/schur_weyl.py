@@ -7,7 +7,8 @@ d_ji(u), read off ``denominators.zero_orders``."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, groupby
+from operator import itemgetter
 from typing import Iterator
 
 from rmx import ar_quiver as ar
@@ -64,12 +65,20 @@ def gamma_rows(cd: CartanData, p_lo: int, p_hi: int
                ) -> Iterator[tuple[DeltaVertex, list[tuple[DeltaVertex, int]]]]:
     """The Ext quiver on heights p_lo..p_hi by source row, lazily: (u, [(v, m),
     ...]) for each source u in ``delta_vertices`` order, its targets in that
-    order too, read off the zeros of d_ji by descending exponent."""
+    order too, read off the zeros of d_ji by descending exponent.
+
+    ``delta_vertices`` lists the sources by vertex i, so the zeros (j, e, m)
+    of vertex i with e <= p_hi - p_lo are listed once, and a row keeps those
+    with r - e >= p_lo."""
     zeros = dn.zero_orders(cd)
-    for u in ar.delta_vertices(cd, p_lo, p_hi):
-        i, r = u
-        yield u, [((j, r - e), m) for j, row in enumerate(zeros, 1)
-                  for e, m in reversed(row[i - 1].items()) if r - e >= p_lo]
+    width = p_hi - p_lo
+    for i, sources in groupby(ar.delta_vertices(cd, p_lo, p_hi), itemgetter(0)):
+        out = [(j, e, m) for j, row in enumerate(zeros, 1)
+               for e, m in reversed(row[i - 1].items()) if e <= width]
+        for u in sources:
+            r = u[1]
+            top = r - p_lo
+            yield u, [((j, r - e), m) for j, e, m in out if e <= top]
 
 
 def gamma_arrows(cd: CartanData, p_lo: int, p_hi: int

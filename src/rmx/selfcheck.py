@@ -172,18 +172,27 @@ def check_tau_nakayama(max_rank: int = 8):
 
 
 def _placed(cd, pairs):
-    """(x, y, ``common_heart(cd, x, y)``) for the pairs that have one; the
-    quiver of each least height function lo is built and checked once."""
-    quivers = {}
+    """(x, y, ``common_heart(cd, x, y)``) for the pairs that have one.  Shifting
+    x = (i, p) and y = (j, r) by s shifts lo by s and keeps the quiver and the
+    roots, so each class (i, j, r - p) is placed once, at its first pair, and
+    the classes share one quiver object per orientation."""
+    classes, quivers = {}, {}
     for x, y in pairs:
-        lo = dn.least_height(cd, x, y)
-        if lo is None:
+        (i, p), (j, r) = x, y
+        key = (i, j, r - p)
+        if key not in classes:
+            placement = dn.common_heart(cd, x, y)
+            if placement is not None:
+                Q, lo, root_x, root_y = placement
+                placement = quivers.setdefault(Q, Q), lo, root_x, root_y
+            classes[key] = p, placement
+        p0, placement = classes[key]
+        if placement is None:
             continue
-        if lo not in quivers:
-            quivers[lo] = dn.heart_quiver(cd, lo)
-        Q = quivers[lo]
-        yield x, y, (Q, lo, ar._happel_object(Q, lo, x).root,
-                     ar._happel_object(Q, lo, y).root)
+        Q, lo, root_x, root_y = placement
+        if p != p0:
+            lo = tuple(v + p - p0 for v in lo)
+        yield x, y, (Q, lo, root_x, root_y)
 
 
 def _ext_oracle_pairs(cd, window: int):
@@ -219,7 +228,7 @@ def check_ext_oracle(labels=("A3", "D4"), e6_samples: int = 0):
     oracle = {}  # (Qp, root_x, root_y) -> (ext1(My, Mx), hom(Mx, My), ext1(Mx, My))
     for cd, pairs in cases:
         label = cd.label()
-        for x, y, (Qp, xi_t, root_x, root_y) in pairs:
+        for x, y, (Qp, _, root_x, root_y) in pairs:
             key = (Qp, root_x, root_y)
             if key not in oracle:
                 Mx, My = ro.indec_rep(Qp, root_x), ro.indec_rep(Qp, root_y)

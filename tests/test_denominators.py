@@ -153,6 +153,15 @@ def test_denominators_reject_vertex_indices_outside_1_to_rank(bad):
         dn.common_heart(cd, (bad, 0), (1, 40))
 
 
+@pytest.mark.parametrize("y", [(1, 2), (1, 40)])
+def test_least_height_rejects_vertex_indices_outside_1_to_rank(y):
+    # vertex 0 read vertex 3's distances: a height function for (1, 2), None
+    # for (1, 40)
+    cd = rs.build_cartan("A", 3)
+    with pytest.raises(ValueError, match="vertex index 0 out of range"):
+        dn.least_height(cd, (0, 0), y)
+
+
 def test_the_window_queries_of_one_type_read_its_ct_table_once(monkeypatch):
     cd = rs.build_cartan("A", 3)
     Q = ar.monotone_quiver(cd)
