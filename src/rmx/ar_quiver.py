@@ -6,11 +6,18 @@ element to the root and absorb a sign flip into the shift.  The bijection
 between repetition-quiver vertices (i, p) and objects is computed exactly,
 never tabulated per type.
 
+Quivers are interned: ``orient`` is the one constructor and returns one
+object per (Cartan datum, arrow set), so equality is identity and the
+caches keyed on a quiver hash it in O(1).  Pickling and copying go back
+through ``orient``.
+
 ``_tau_orbits`` is the one knitting table: one tau period of each injective
-I_i per quiver Q.  The module strip, the Happel maps and the Coxeter formula
-for ct_ij(l) read it at any height function of Q.  A Coxeter step is one
-``root_system.reflect_word`` call over the whole Coxeter word, on one list in
-place; that is the only reflection routine used here.
+I_i per arrow set, which the two parities of a type share, since knitting
+reads only the arrows, the adjacency and h.  The module strip, the Happel
+maps and the Coxeter formula for ct_ij(l) read it at any height function
+of Q.  A Coxeter step is one ``root_system.reflect_word`` call over the
+whole Coxeter word, on one list in place; that is the only reflection
+routine used here.
 
 This module reads only ``root_system``: the ct table and the zero table of
 ``denominators`` that every Hom/Ext window query reads live above it, so the
@@ -29,12 +36,18 @@ from rmx.root_system import CartanData, Vec
 DeltaVertex = tuple[int, int]  # (vertex i, height p) with p = eps_i mod 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DynkinQuiver:
-    """An orientation of the Dynkin diagram: one directed arrow per edge."""
+    """An orientation of the Dynkin diagram: one directed arrow per edge.
+
+    Interned: build it through ``orient``, never directly.
+    """
 
     cd: CartanData
     arrows: tuple[tuple[int, int], ...]
+
+    def __reduce__(self):
+        return orient, (self.cd, self.arrows)
 
     def __post_init__(self):
         undirected = {(min(u, v), max(u, v)) for u, v in self.arrows}
@@ -47,7 +60,13 @@ class DynkinQuiver:
 
 
 def orient(cd: CartanData, arrows) -> DynkinQuiver:
-    return DynkinQuiver(cd=cd, arrows=tuple(sorted(arrows)))
+    """The interned quiver with these arrows, in any order."""
+    return _interned_quiver(cd, tuple(sorted(arrows)))
+
+
+@lru_cache(maxsize=None)
+def _interned_quiver(cd: CartanData, arrows: tuple[tuple[int, int], ...]) -> DynkinQuiver:
+    return DynkinQuiver(cd=cd, arrows=arrows)
 
 
 def monotone_quiver(cd: CartanData) -> DynkinQuiver:
@@ -204,12 +223,16 @@ def _tau_orbits(Q: DynkinQuiver) -> tuple[tuple[IndecObject, ...], ...]:
 
     Knitting closes each orbit: tau^h(I_i) = I_i[-2], so these h objects and
     the shift determine tau^s(I_i) for every integer s, at every height
-    function of Q.
+    function of Q.  Knitting reads only the arrows, the adjacency and h, so
+    a parity-1 datum returns the table of its parity-0 twin.
     """
+    cd = Q.cd
+    if cd.parity_base:
+        return _tau_orbits(orient(rs.build_cartan(cd.family, cd.rank), Q.arrows))
     orbits = []
-    for i in Q.cd.vertices:
+    for i in cd.vertices:
         start = IndecObject(gamma_vector(Q, i), 0)
-        orbit = (start, *_knit(Q, start, Q.cd.h))
+        orbit = (start, *_knit(Q, start, cd.h))
         if orbit[-1] != (start.root, -2):
             raise RuntimeError(f"knitting does not close: tau^h(I_{i}) = "
                                f"{orbit[-1]}, not I_{i}[-2]")

@@ -14,10 +14,11 @@ exits 2 with a message:
 Tables and graph exports stream, one chunk per row, so their time and memory
 are proportional to the output: D64 ``export gamma`` over 64 heights (34 MB)
 takes about 0.7 s at a 32 MB peak RSS, and D64 ``ctilde --order 512
---format json`` about 1.2 s at 34 MB (Python 3.11, shared 2-CPU host).  A
+--format json`` about 0.7 s at 34 MB (Python 3.11, shared 2-CPU host).  A
 row is joined from text made once per export: an arrow is its source's head
-followed by the tail of its (target, multiplicity), and a CSV or Markdown
-cell is the text of its value.
+followed by the tail of its (target, multiplicity), a CSV or Markdown cell
+is the text of its value, and a JSON cell is its column's ``"key":`` prefix
+followed by the text of its value.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import json
 import sys
 from functools import lru_cache
 from itertools import groupby
-from operator import itemgetter
+from operator import add, itemgetter
 
 from rmx import ar_quiver as ar
 from rmx import denominators as dn
@@ -123,13 +124,18 @@ def _table_chunks(header, rows, fmt):
         for row in rows:
             yield "| " + " | ".join(map(cell, row)) + " |\n"
     else:
-        # json.dumps of the whole list, one row at a time
+        # json.dumps of the whole list, one row at a time: the keys are
+        # sorted once (a repeated key keeps its last column, as in a dict),
+        # each '"key":' is made once and each distinct value written once
+        value = _Texts(json.dumps).__getitem__
+        columns = sorted({key: k for k, key in enumerate(header)}.items())
+        order = [k for _, k in columns]
+        keys = [json.dumps(key) + ":" for key, _ in columns]
         yield "["
-        sep = ""
+        sep = "{"
         for row in rows:
-            yield sep + json.dumps(dict(zip(header, row)), sort_keys=True,
-                                   separators=(",", ":"))
-            sep = ","
+            yield sep + ",".join(map(add, keys, map(value, map(row.__getitem__, order)))) + "}"
+            sep = ",{"
         yield "]\n"
 
 

@@ -19,7 +19,9 @@ ct(l) and ct(kh) = 0 are its even and l = 0 cases.  ``check_ctilde_inversion``
 checks the identity and every later layer of a table against it.
 
 The second route to the same table, the Coxeter-element formula, reads the
-knitting table of ``ar_quiver``; every window query reads ct through the
+knitting table of ``ar_quiver``; ``ctilde_coxeter_table`` builds it by
+columns, each series ct_ij(1..L) one coordinate of a tau-orbit, rotated and
+written into every other slot.  Every window query reads ct through the
 zero table ``denominators.zero_orders``.
 """
 
@@ -120,21 +122,29 @@ def ctilde_coxeter_table(cd: CartanData, Q, xi, L: int) -> CTildeTable:
 
     xi is validated once, and each knitting entry tau^s(I_i) is read once,
     as the vector c^s(gamma_i) (its root, negated when the shift is odd).
+    The table is built by columns: the series ct_ij(1..L) is zero at every
+    other l and, from its first nonzero slot l0 in {1, 2}, runs through
+    coordinate j of the vectors c^s(gamma_i) in order of s, starting at
+    s = (l0 + xi_i - xi_j - 1)/2 mod h.
     """
     ar.check_height(Q, xi)
     if L < 1:
         raise ValueError("truncation order must be >= 1")
-    n, h, eps = cd.rank, cd.h, cd.eps
-    powers = [[tuple(-c for c in root) if shift % 2 else root
-               for root, shift in orbit] for orbit in ar._tau_orbits(Q)]
-    values = tuple(
-        tuple(
-            tuple([0 if (l + eps[i] + eps[j] + 1) % 2
-                   else powers[i][(l + xi[i] - xi[j] - 1) // 2 % h][j]
-                   for j in range(n)])
-            for i in range(n))
-        for l in range(1, L + 1))
-    return CTildeTable(cd=cd, L=L, values=values)
+    h, eps = cd.h, cd.eps
+    rows = []  # rows[i]: row i of every layer
+    for i, orbit in enumerate(ar._tau_orbits(Q)):
+        powers = [tuple(-c for c in root) if shift % 2 else root
+                  for root, shift in orbit]
+        series = []
+        for j, column in enumerate(zip(*powers)):
+            l0 = 1 + (eps[i] != eps[j])  # l + eps_i + eps_j + 1 even
+            k0 = (l0 + xi[i] - xi[j] - 1) // 2 % h
+            count = len(range(l0 - 1, L, 2))
+            line = [0] * L
+            line[l0 - 1::2] = ((column[k0:] + column[:k0]) * (count // h + 1))[:count]
+            series.append(line)
+        rows.append(zip(*series))
+    return CTildeTable(cd=cd, L=L, values=tuple(zip(*rows)))
 
 
 def check_ctilde_inversion(t: CTildeTable) -> list[str]:

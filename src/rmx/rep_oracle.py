@@ -280,9 +280,12 @@ def decompose(R: QuiverRep, between: tuple[Vec, Vec] | None = None) -> Counter:
     when ``between`` is given; g <= dim R; the Euler-form tests, when
     ``between`` is given; and completion: dim R - g is a sum of the
     remaining candidates, repeats allowed (``_completing``), since the roots
-    of the summands sum to dim R.  A filter that dropped a true summand
-    would fail the rebuild of dim R or the isomorphism and raise, so none
-    of them is trusted either.
+    of the summands sum to dim R.  The solve then skips a candidate that no
+    longer fits: once the summands found so far leave ``rest`` of dim R,
+    a g that is not <= rest has multiplicity 0, and the solve stops when
+    rest is 0.  A filter that dropped a true summand would fail the rebuild
+    of dim R or the isomorphism and raise, so none of them is trusted
+    either.
 
     ``between = (x, y)`` takes the roots of two indecomposables X and Y and
     keeps only the roots g strictly between x and y in height with
@@ -308,7 +311,12 @@ def decompose(R: QuiverRep, between: tuple[Vec, Vec] | None = None) -> Counter:
     candidates = _completing(candidates, R.dims)
     out: Counter = Counter()
     bases = {}
+    rest = list(R.dims)  # dim R minus the summands found so far
     for g in sorted(candidates, key=lambda g: (-height[g], g)):
+        if not any(rest):
+            break
+        if any(a > b for a, b in zip(g, rest)):
+            continue
         basis = hom_basis(indec_rep(Q, g), R)
         m = len(basis) - sum(
             max(ar.euler_form(Q, g, d), 0) * md for d, md in out.items())
@@ -316,6 +324,7 @@ def decompose(R: QuiverRep, between: tuple[Vec, Vec] | None = None) -> Counter:
             raise OracleError(f"negative multiplicity {m} at {g}")
         if m:
             out[g], bases[g] = m, basis
+            rest = [a - m * b for a, b in zip(rest, g)]
     recon = tuple(
         sum(out[g] * g[k] for g in out) for k in range(Q.cd.rank)
     )

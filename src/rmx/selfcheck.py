@@ -174,18 +174,13 @@ def check_tau_nakayama(max_rank: int = 8):
 def _placed(cd, pairs):
     """(x, y, ``common_heart(cd, x, y)``) for the pairs that have one.  Shifting
     x = (i, p) and y = (j, r) by s shifts lo by s and keeps the quiver and the
-    roots, so each class (i, j, r - p) is placed once, at its first pair, and
-    the classes share one quiver object per orientation."""
-    classes, quivers = {}, {}
+    roots, so each class (i, j, r - p) is placed once, at its first pair."""
+    classes = {}
     for x, y in pairs:
         (i, p), (j, r) = x, y
         key = (i, j, r - p)
         if key not in classes:
-            placement = dn.common_heart(cd, x, y)
-            if placement is not None:
-                Q, lo, root_x, root_y = placement
-                placement = quivers.setdefault(Q, Q), lo, root_x, root_y
-            classes[key] = p, placement
+            classes[key] = p, dn.common_heart(cd, x, y)
         p0, placement = classes[key]
         if placement is None:
             continue

@@ -1,4 +1,7 @@
+import copy
 import os
+import pickle
+import random
 import subprocess
 import sys
 
@@ -9,6 +12,7 @@ from hypothesis import strategies as st
 import rmx
 from rmx import ar_quiver as ar
 from rmx import denominators as dn
+from rmx import rep_oracle as ro
 from rmx import root_system as rs
 from rmx.ar_quiver import IndecObject
 
@@ -27,6 +31,40 @@ def test_orientation_must_cover_each_edge_once():
         ar.orient(cd, [(1, 2), (2, 1)])
     with pytest.raises(ValueError):
         ar.orient(cd, [])
+
+
+@pytest.mark.parametrize("family,rank", [("A", 1), ("A", 4), ("D", 5), ("E", 6)])
+def test_orient_interns_one_quiver_per_arrow_set(family, rank):
+    rng = random.Random(rank)
+    for parity in (0, 1):
+        cd = rs.build_cartan(family, rank, parity)
+        for Q in all_orientations(cd):
+            arrows = list(Q.arrows)
+            rng.shuffle(arrows)
+            assert ar.orient(cd, arrows) is Q
+            assert ar.orient(cd, reversed(Q.arrows)) is Q
+            for twin in (pickle.loads(pickle.dumps(Q)), copy.copy(Q), copy.deepcopy(Q)):
+                assert twin is Q
+                assert twin == Q and hash(twin) == hash(Q)
+                assert {Q: 1}[twin] == 1
+    Q0 = ar.monotone_quiver(rs.build_cartan(family, rank, 0))
+    Q1 = ar.monotone_quiver(rs.build_cartan(family, rank, 1))
+    assert Q1 is not Q0 and Q1.arrows == Q0.arrows
+    # knitting reads only the arrows, so the two parities share one table
+    assert ar._tau_orbits(Q1) is ar._tau_orbits(Q0)
+
+
+def test_hom_basis_accepts_representations_from_two_orient_calls():
+    cd = rs.build_cartan("D", 4)
+    arrows = [(2, 1), (2, 3), (4, 2)]
+    P, Q = ar.orient(cd, arrows), ar.orient(cd, arrows[::-1])
+    for a in rs.positive_roots(cd):
+        M = ro.indec_rep(P, a)
+        M = ro.QuiverRep(pickle.loads(pickle.dumps(P)), M.dims, M.mats)
+        for b in rs.positive_roots(cd):
+            N = ro.indec_rep(Q, b)
+            assert len(ro.hom_basis(M, N)) == max(ar.euler_form(Q, a, b), 0)
+            assert ro.ext1_dim_rep(M, N) == max(-ar.euler_form(Q, a, b), 0)
 
 
 def test_coxeter_word_orderings():

@@ -310,6 +310,12 @@ GOLDEN_SHA256 = {
     ("export", "gamma", "--type", "E", "--rank", "7", "--p-lo", "0", "--p-hi", "18",
      "--format", "json"):
         "8ecf730f43c38715029a60c37bf4016f774d0e1c541bb7ce3505d31613c3d288",
+    # JSON tables, taken before their rows were joined from text made once
+    ("ctilde", "--type", "E", "--rank", "6", "--format", "json"):
+        "f5a9b18f36535266148013c24d9e34165e1cfb18b615cf0e35c115360d0f5b35",
+    ("denominator", "--type", "E", "--rank", "8", "--i", "1", "--j", "1",
+     "--format", "json"):
+        "9011f04266aeedf274ab9f66f54e62f3083d24b5e045837fe94837d5e875688d",
 }
 
 
@@ -585,6 +591,25 @@ def test_streamed_graph_writers_are_the_reference_writers(graph, fmt):
     vertices, arrows, attrs = graph
     out = "".join(cli._emit_graph(fmt, "g", vertices, cli._arrow_rows(arrows), attrs))
     assert out == _reference_graph(fmt, "g", vertices, arrows, attrs)
+
+
+@st.composite
+def _tables(draw):
+    """A header, repeats allowed, and rows of ints and strings to fit it."""
+    header = draw(st.lists(st.text(max_size=3), max_size=6))
+    cells = st.one_of(st.integers(-300, 300), st.text(max_size=3))
+    rows = draw(st.lists(st.lists(cells, min_size=len(header), max_size=len(header)),
+                         max_size=6))
+    return header, rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(_tables())
+def test_streamed_json_table_is_json_dumps_of_the_whole_list(table):
+    header, rows = table
+    out = "".join(cli._table_chunks(header, iter(rows), "json"))
+    assert out == json.dumps([dict(zip(header, row)) for row in rows],
+                             sort_keys=True, separators=(",", ":")) + "\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -246,17 +246,22 @@ def test_dual_method_agreement(family, rank):
 
 @pytest.mark.parametrize("family,rank", rs.all_ade_types(6))
 def test_coxeter_table_matches_the_formula_entry_by_entry(family, rank):
+    # the table is built by columns, so the lengths that cut a column short
+    # (L < h), end it exactly (h) or wrap it (2h + 1, 3h) are all checked
     for parity in (0, 1):
         cd = rs.build_cartan(family, rank, parity_base=parity)
-        L = 3 * cd.h
+        h = cd.h
         for Q in all_orientations(cd):
             for t in (0, -6):
                 xi = shift_height(ar.default_height(Q), t)
-                table = qc.ctilde_coxeter_table(cd, Q, xi, L)
-                assert (table.cd, table.L) == (cd, L)
-                assert [ct_series(table, i, j) for i in cd.vertices for j in cd.vertices] == [
-                    tuple(qc.ctilde_coxeter(cd, Q, xi, i, j, l) for l in range(1, L + 1))
-                    for i in cd.vertices for j in cd.vertices], (parity, Q.label(), t)
+                want = [tuple(qc.ctilde_coxeter(cd, Q, xi, i, j, l) for l in range(1, 3 * h + 1))
+                        for i in cd.vertices for j in cd.vertices]
+                for L in sorted({1, 2, h - 1, h, 2 * h + 1, 3 * h}):
+                    table = qc.ctilde_coxeter_table(cd, Q, xi, L)
+                    assert (table.cd, table.L) == (cd, L)
+                    assert [ct_series(table, i, j) for i in cd.vertices
+                            for j in cd.vertices] == [series[:L] for series in want], (
+                        parity, Q.label(), t, L)
 
 
 def test_coxeter_table_rejects_bad_input():

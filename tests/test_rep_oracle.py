@@ -16,6 +16,7 @@ from rmx import denominators as dn
 from rmx import linalg as la
 from rmx import rep_oracle as ro
 from rmx import root_system as rs
+from rmx import selfcheck
 from rmx.ar_quiver import IndecObject
 from rmx.selfcheck import _three_orientations
 
@@ -215,6 +216,24 @@ def test_e6_simple_poles_stay_inside_their_hom_basis_budget():
             dn.dorey_middle_term(cd, Q, xi, x, y)
     assert len(poles) == 110
     assert hom_basis.call_count <= 330
+
+
+def test_rep_oracle_round_trips_stay_inside_their_hom_basis_budget():
+    # the 100 decompose round-trips of the full rep-oracle check over A3 and
+    # D4: 410 hom_basis calls (631 before the solve skipped the candidates
+    # that no longer fit the rest of dim R)
+    decompose, counts = ro.decompose, []
+
+    def counted(R, between=None):
+        with mock.patch.object(ro, "hom_basis", wraps=ro.hom_basis) as hom_basis:
+            out = decompose(R, between)
+        counts.append(hom_basis.call_count)
+        return out
+
+    with mock.patch.object(ro, "decompose", counted):
+        assert selfcheck.check_rep_oracle(("A3", "D4"), 100)[0]
+    assert len(counts) == 100
+    assert sum(counts) <= 420
 
 
 def reflection_functor(Q, i, R):
