@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import mul
 from typing import NamedTuple
 
 from rmx import root_system as rs
@@ -310,7 +311,7 @@ def module_strip(Q: DynkinQuiver, xi: tuple[int, ...]) -> dict:
 
 def euler_form(Q: DynkinQuiver, a: Vec, b: Vec) -> int:
     """<a, b> = sum_i a_i b_i - sum_{u -> v} a_u b_v."""
-    total = sum(x * y for x, y in zip(a, b))
+    total = sum(map(mul, a, b))
     total -= sum(a[u - 1] * b[v - 1] for u, v in Q.arrows)
     return total
 

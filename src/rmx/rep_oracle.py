@@ -4,7 +4,8 @@ Representations carry integer matrices; Hom and Ext^1 come from the
 intertwining linear system, whose primitive integer kernel vectors are
 certified as intertwiners.  Indecomposables are tree modules with 0/1
 matrices, built as nonsplit extensions of smaller ones and certified by
-dim End = 1 (every exceptional module is a tree module: Ringel 1998).
+End(M) being spanned by the identity (every exceptional module is a tree
+module: Ringel 1998).
 Krull-Schmidt decomposition is solved from Hom counts over candidate roots
 and proved by an explicit isomorphism from the claimed direct sum.  The
 candidates are the roots g <= dim R for which dim R - g is a sum of
@@ -22,7 +23,8 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, chain
+from operator import le, mul
 
 from rmx import ar_quiver as ar
 from rmx import linalg as la
@@ -40,7 +42,8 @@ class QuiverRep:
     """Per-vertex dimensions plus one integer matrix per arrow.
 
     The matrix on arrow u -> v has shape dims[v-1] x dims[u-1]; rows of a
-    zero-row matrix are simply absent.
+    zero-row matrix are simply absent.  A matrix on a pair that is not an
+    arrow of Q is rejected.
     """
 
     Q: DynkinQuiver
@@ -50,17 +53,20 @@ class QuiverRep:
     def __post_init__(self):
         if len(self.dims) != self.Q.cd.rank:
             raise ValueError("dims length mismatch")
+        stray = self.mats.keys() - set(self.Q.arrows)
+        if stray:
+            raise ValueError(f"matrices on pairs that are no arrow of Q: "
+                             f"{sorted(stray, key=repr)}")
         fixed = {}
         for a in self.Q.arrows:
             u, v = a
-            m = [list(row) for row in self.mats.get(a, [])]
-            if len(m) != self.dims[v - 1] or any(
-                len(row) != self.dims[u - 1] for row in m
-            ):
+            m = tuple(map(tuple, self.mats.get(a, ())))
+            if (len(m) != self.dims[v - 1]
+                    or not set(map(len, m)) <= {self.dims[u - 1]}):
                 raise ValueError(f"matrix shape mismatch on arrow {u}->{v}")
-            if any(type(x) is not int for row in m for x in row):
+            if not set(map(type, chain.from_iterable(m))) <= {int}:
                 raise ValueError(f"non-integer entry on arrow {u}->{v}")
-            fixed[a] = tuple(map(tuple, m))
+            fixed[a] = m
         self.mats = fixed
 
 
@@ -184,8 +190,8 @@ def indec_rep(Q: DynkinQuiver, alpha: Vec) -> QuiverRep:
 
     A tree module with 0/1 matrices: the simple S_i at a simple root, else
     the nonsplit extension of two smaller tree modules M_beta, M_gamma over
-    a split alpha = beta + gamma into positive roots, certified by
-    dim End = 1.
+    a split alpha = beta + gamma into positive roots, certified by End(M)
+    being spanned by the identity.
     """
     if not rs.is_positive_root(Q.cd, alpha):
         raise ValueError(f"{alpha} is not a positive root")
@@ -207,7 +213,9 @@ def _indec_rep(Q: DynkinQuiver, alpha: Vec) -> QuiverRep:
 
     Hom and Ext^1 between indecomposables of a Dynkin quiver are never both
     nonzero, so Ext^1(M_gamma, M_beta) = 1 exactly when the Euler form
-    <gamma, beta> is -1; ``nonsplit_extension`` certifies it again.
+    <gamma, beta> is -1; ``nonsplit_extension`` certifies it again.  The
+    middle term is kept when End(M) is spanned by the identity
+    (``_end_is_scalar``), which makes it indecomposable.
     """
     if sum(alpha) == 1:
         return simple_rep(Q, alpha.index(1) + 1)
@@ -216,9 +224,21 @@ def _indec_rep(Q: DynkinQuiver, alpha: Vec) -> QuiverRep:
             if ar.euler_form(Q, quot, sub) != -1:
                 continue
             rep = nonsplit_extension(_indec_rep(Q, sub), _indec_rep(Q, quot))
-            if hom_dim_rep(rep, rep) == 1:
+            if _end_is_scalar(rep):
                 return rep
     raise OracleError(f"no split of {alpha} extends to an indecomposable")
+
+
+def _end_is_scalar(M: QuiverRep) -> bool:
+    """Whether End(M) is spanned by the identity.
+
+    The kernel of the intertwining system of (M, M) must be exactly the
+    identity map, flattened in ``_intertwiner_matrix``'s column order.  The
+    identity intertwines by definition, so no kernel vector needs checking.
+    """
+    rows, ncols, _, _ = _intertwiner_matrix(M, M)
+    identity = [int(t == s) for d in M.dims for t in range(d) for s in range(d)]
+    return la.nullspace(rows, ncols) == [identity]
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +255,7 @@ def nonsplit_extension(Msub: QuiverRep, Mquot: QuiverRep) -> QuiverRep:
     # im(Phi) is the orthogonal complement of the left kernel of Phi, so
     # e_k lies outside im(Phi) exactly when the left kernel vector y has
     # y[k] != 0; the first such k is the unit cocycle.
-    transpose = [[row[c] for row in rows] for c in range(ncols)]
+    transpose = list(map(list, zip(*rows)))
     coker = la.nullspace(transpose, nrows)
     if len(coker) != 1:
         raise ValueError(f"Ext^1(quotient, sub) = {len(coker)}, need exactly 1")
@@ -299,15 +319,16 @@ def decompose(R: QuiverRep, between: tuple[Vec, Vec] | None = None) -> Counter:
     lies strictly between X and Y.
     """
     Q = R.Q
-    strip = ar.module_strip(Q, ar.default_height(Q))
-    height = {g: p for (_, p), g in strip.items()}
+    height = _heights(Q)
     x, y = between or (None, None)
+    if between is not None:
+        xe, ye = _pairing_vectors(Q, x, y)
     candidates = [
         g for g in height
         if (between is None or height[x] < height[g] < height[y])
-        and all(a <= b for a, b in zip(g, R.dims))
+        and all(map(le, g, R.dims))
         and (between is None
-             or ar.euler_form(Q, x, g) > 0 and ar.euler_form(Q, g, y) > 0)]
+             or sum(map(mul, xe, g)) > 0 and sum(map(mul, g, ye)) > 0)]
     candidates = _completing(candidates, R.dims)
     out: Counter = Counter()
     bases = {}
@@ -333,6 +354,27 @@ def decompose(R: QuiverRep, between: tuple[Vec, Vec] | None = None) -> Counter:
     if sum(R.dims):
         _certify_isomorphism(R, out, bases)
     return out
+
+
+@lru_cache(maxsize=None)
+def _heights(Q: DynkinQuiver) -> dict:
+    """Each positive root mapped to its height on the module strip at
+    ``default_height(Q)``, which holds each root once."""
+    strip = ar.module_strip(Q, ar.default_height(Q))
+    return {g: p for (_, p), g in strip.items()}
+
+
+def _pairing_vectors(Q: DynkinQuiver, x: Vec, y: Vec) -> tuple[list, list]:
+    """(xe, ye) with <x, g> = xe . g and <g, y> = g . ye for every g.
+
+    Gathering the Euler form <a, b> = sum_i a_i b_i - sum_{u -> v} a_u b_v
+    by g gives xe_v = x_v - sum_{u -> v} x_u and ye_u = y_u - sum_{u -> v} y_v.
+    """
+    xe, ye = list(x), list(y)
+    for u, v in Q.arrows:
+        xe[v - 1] -= x[u - 1]
+        ye[u - 1] -= y[v - 1]
+    return xe, ye
 
 
 def _completing(candidates: list[Vec], total: Vec) -> list[Vec]:
