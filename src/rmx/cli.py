@@ -289,15 +289,12 @@ def cmd_export(args):
         targets = [sorted(cd.neighbors(i)) for i in cd.vertices]
         rows = (((i, p), [((j, p + 1), 1) for j in targets[i - 1] if (j, p + 1) in vset])
                 for i, p in vertices)
-        # ar._happel_object at each vertex, with the tau-orbit table read once:
         # _height checked xi, and delta_vertices are valid by construction
-        orbits, cell = ar._tau_orbits(Q), _Texts().__getitem__
-        attrs = {}
+        cell, attrs = _Texts().__getitem__, {}
         for i, p in vertices:
-            periods, s = divmod((xi[i - 1] - p) // 2, cd.h)
-            root, shift = orbits[i - 1][s]
+            root, shift = ar._happel_object(Q, xi, (i, p))
             attrs[i, p] = {"i": i, "p": p, "root": ",".join(map(cell, root)),
-                           "shift": shift - 2 * periods}
+                           "shift": shift}
         return _emit_graph(args.format, "ar_quiver", vertices, rows, attrs)
     if args.what == "gamma":
         _check_p_window(args)

@@ -104,15 +104,15 @@ def _intertwiner_matrix(M: QuiverRep, N: QuiverRep):
     """Matrix of Phi(f)_a = N_a f_{src(a)} - f_{tgt(a)} M_a.
 
     Unknowns are the entries of the vertex maps f_v (shape N_v x M_v),
-    rows are indexed by arrow blocks (shape N_{tgt} x M_{src}).
+    rows are indexed by arrow blocks (shape N_{tgt} x M_{src}), in the
+    sorted order of ``Q.arrows``.
     """
-    Q = M.Q
-    n = Q.cd.rank
-    col_off = [0, *accumulate(N.dims[v] * M.dims[v] for v in range(n))]
+    if M.Q != N.Q:
+        raise ValueError("representations live over different quivers")
+    col_off = [0, *accumulate(map(mul, N.dims, M.dims))]
     ncols = col_off[-1]
-    arrows = sorted(Q.arrows)
     rows = []
-    for a in arrows:
+    for a in M.Q.arrows:
         u, w = a
         Na, Ma = N.mats[a], M.mats[a]
         for rho in range(N.dims[w - 1]):
@@ -125,7 +125,7 @@ def _intertwiner_matrix(M: QuiverRep, N: QuiverRep):
                 for s in range(M.dims[w - 1]):
                     row[col_off[w - 1] + rho * M.dims[w - 1] + s] -= Ma[s][sig]
                 rows.append(row)
-    return rows, ncols, col_off, arrows
+    return rows, ncols, col_off
 
 
 def hom_basis(M: QuiverRep, N: QuiverRep) -> list[dict]:
@@ -135,15 +135,11 @@ def hom_basis(M: QuiverRep, N: QuiverRep) -> list[dict]:
     Each map is a primitive integer vector (its entries coprime ints),
     checked to intertwine on every arrow in int arithmetic.
     """
-    if M.Q != N.Q:
-        raise ValueError("representations live over different quivers")
-    Q = M.Q
-    n = Q.cd.rank
-    rows, ncols, col_off, _ = _intertwiner_matrix(M, N)
+    rows, ncols, col_off = _intertwiner_matrix(M, N)
     basis = []
     for vec in la.nullspace(rows, ncols):
         f = {}
-        for v in range(1, n + 1):
+        for v in M.Q.cd.vertices:
             nv, mv = N.dims[v - 1], M.dims[v - 1]
             block = vec[col_off[v - 1]:col_off[v - 1] + nv * mv]
             f[v] = [block[t * mv:(t + 1) * mv] for t in range(nv)]
@@ -170,14 +166,18 @@ def _check_intertwiner(M: QuiverRep, N: QuiverRep, f: dict) -> None:
 
 
 def hom_dim_rep(M: QuiverRep, N: QuiverRep) -> int:
-    return len(hom_basis(M, N))
+    """dim ker of the intertwiner map, i.e. dim Hom(M, N): one rank, the
+    mirror of ``ext1_dim_rep`` and equal to ``len(hom_basis(M, N))``, since
+    ``la.nullspace`` returns one vector per free column.  hom - ext1 is then
+    the Euler form for any M and N, by rank-nullity.
+    """
+    rows, ncols, _ = _intertwiner_matrix(M, N)
+    return ncols - la.rank(rows, ncols)
 
 
 def ext1_dim_rep(M: QuiverRep, N: QuiverRep) -> int:
     """dim coker of the intertwiner map, i.e. dim Ext^1(M, N)."""
-    if M.Q != N.Q:
-        raise ValueError("representations live over different quivers")
-    rows, ncols, _, _ = _intertwiner_matrix(M, N)
+    rows, ncols, _ = _intertwiner_matrix(M, N)
     return len(rows) - la.rank(rows, ncols)
 
 
@@ -236,7 +236,7 @@ def _end_is_scalar(M: QuiverRep) -> bool:
     identity map, flattened in ``_intertwiner_matrix``'s column order.  The
     identity intertwines by definition, so no kernel vector needs checking.
     """
-    rows, ncols, _, _ = _intertwiner_matrix(M, M)
+    rows, ncols, _ = _intertwiner_matrix(M, M)
     identity = [int(t == s) for d in M.dims for t in range(d) for s in range(d)]
     return la.nullspace(rows, ncols) == [identity]
 
@@ -247,10 +247,8 @@ def _end_is_scalar(M: QuiverRep) -> bool:
 
 def nonsplit_extension(Msub: QuiverRep, Mquot: QuiverRep) -> QuiverRep:
     """The unique middle term when Ext^1(Mquot, Msub) is one-dimensional."""
-    if Msub.Q != Mquot.Q:
-        raise ValueError("representations live over different quivers")
     Q = Msub.Q
-    rows, ncols, _, arrows = _intertwiner_matrix(Mquot, Msub)
+    rows, _, _ = _intertwiner_matrix(Mquot, Msub)
     nrows = len(rows)
     # im(Phi) is the orthogonal complement of the left kernel of Phi, so
     # e_k lies outside im(Phi) exactly when the left kernel vector y has
@@ -261,7 +259,7 @@ def nonsplit_extension(Msub: QuiverRep, Mquot: QuiverRep) -> QuiverRep:
         raise ValueError(f"Ext^1(quotient, sub) = {len(coker)}, need exactly 1")
     k = next(k for k, yk in enumerate(coker[0]) if yk)
     # row k of Phi is entry (rho, sig) of the block of one arrow u -> w
-    for cocycle_arrow in arrows:
+    for cocycle_arrow in Q.arrows:
         u, w = cocycle_arrow
         if k < Msub.dims[w - 1] * Mquot.dims[u - 1]:
             rho, sig = divmod(k, Mquot.dims[u - 1])

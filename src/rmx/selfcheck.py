@@ -207,9 +207,9 @@ def _sampled_pairs(cd, count: int):
 def check_ext_oracle(labels=("A3", "D4"), e6_samples: int = 0):
     """Window formulas against explicit-representation Hom/Ext, exactly.
 
-    Many vertex pairs share one module pair (Qp, root_x, root_y), so the
-    oracle's numbers are computed once per module pair; every vertex pair is
-    still compared with the window formulas.
+    The oracle's ext1(My, Mx) and hom(Mx, My) are computed once per module
+    pair (Qp, root_x, root_y) and compared with the window formulas at every
+    vertex pair; hom(Mx, My) must also be max(<root_x, root_y>, 0).
     """
     cases = []
     for label in labels:
@@ -220,24 +220,22 @@ def check_ext_oracle(labels=("A3", "D4"), e6_samples: int = 0):
         cases.append((cd, _sampled_pairs(cd, e6_samples)))
     bad = []
     tested = 0
-    oracle = {}  # (Qp, root_x, root_y) -> (ext1(My, Mx), hom(Mx, My), ext1(Mx, My))
+    oracle = {}  # (Qp, root_x, root_y) -> (ext1(My, Mx), hom(Mx, My))
     for cd, pairs in cases:
         label = cd.label()
         for x, y, (Qp, _, root_x, root_y) in pairs:
             key = (Qp, root_x, root_y)
             if key not in oracle:
                 Mx, My = ro.indec_rep(Qp, root_x), ro.indec_rep(Qp, root_y)
-                oracle[key] = (ro.ext1_dim_rep(My, Mx), ro.hom_dim_rep(Mx, My),
-                               ro.ext1_dim_rep(Mx, My))
-            ext_yx, hom_xy, ext_xy = oracle[key]
-            hom = dn.hom_dim(cd, x, y)
+                oracle[key] = (ro.ext1_dim_rep(My, Mx), ro.hom_dim_rep(Mx, My))
+            ext_yx, hom_xy = oracle[key]
             tested += 1
             if dn.pole_order(cd, x, y) != ext_yx:
                 bad.append(f"{label}: ext mismatch at {x},{y}")
-            if hom != hom_xy:
+            if dn.hom_dim(cd, x, y) != hom_xy:
                 bad.append(f"{label}: hom mismatch at {x},{y}")
-            if hom - ext_xy != ar.euler_form(Qp, root_x, root_y):
-                bad.append(f"{label}: euler reconciliation fails at {x},{y}")
+            if hom_xy != max(ar.euler_form(Qp, root_x, root_y), 0):
+                bad.append(f"{label}: hom != max(euler, 0) at {x},{y}")
     return not bad, "; ".join(bad[:3]) if bad else f"{tested} common-heart pairs agree"
 
 
@@ -350,7 +348,13 @@ def check_kostant_census(max_weight: int = 5):
 
 
 def check_rep_oracle(exhaustive=("A3", "D4"), roundtrips: int = 100):
-    """Euler identity over indecomposable pairs; decompose round-trips."""
+    """Directedness over indecomposable pairs; decompose round-trips.
+
+    Hom and Ext^1 between Dynkin indecomposables are never both nonzero
+    (Ringel 1984; Happel 1988), so hom(M_a, M_b) = max(<a, b>, 0): one
+    ``hom_dim_rep`` per ordered pair.  a = b is End = k; hom - ext1 = <a, b>
+    holds for any modules by rank-nullity, so it is not tested.
+    """
     bad = []
     quivers = []
     for label in exhaustive:
@@ -360,13 +364,9 @@ def check_rep_oracle(exhaustive=("A3", "D4"), roundtrips: int = 100):
         quivers.append((Q, roots))
         reps = {a: ro.indec_rep(Q, a) for a in roots}
         for a in roots:
-            if ro.hom_dim_rep(reps[a], reps[a]) != 1:
-                bad.append(f"{label}: End != 1 at {a}")
             for b in roots:
-                h = ro.hom_dim_rep(reps[a], reps[b])
-                e = ro.ext1_dim_rep(reps[a], reps[b])
-                if h - e != ar.euler_form(Q, a, b):
-                    bad.append(f"{label}: hom-ext != euler at {a},{b}")
+                if ro.hom_dim_rep(reps[a], reps[b]) != max(ar.euler_form(Q, a, b), 0):
+                    bad.append(f"{label}: hom != max(euler, 0) at {a},{b}")
     rng = random.Random(99)
     for case in range(roundtrips):
         Q, roots = quivers[case % len(quivers)]
@@ -374,7 +374,8 @@ def check_rep_oracle(exhaustive=("A3", "D4"), roundtrips: int = 100):
         total = ro.direct_sum([ro.indec_rep(Q, a) for a in picks])
         if ro.decompose(total) != Counter(picks):
             bad.append(f"round-trip fails for {picks}")
-    return not bad, "; ".join(bad[:3]) if bad else f"euler exhaustive + {roundtrips} round-trips"
+    detail = f"hom = max(euler, 0) exhaustive + {roundtrips} round-trips"
+    return not bad, "; ".join(bad[:3]) if bad else detail
 
 
 # ---------------------------------------------------------------------------

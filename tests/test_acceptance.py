@@ -98,6 +98,6 @@ def test_criterion_09_kostant_orbit_census():
 
 
 def test_criterion_10_rep_oracle_coherence():
-    with criterion(10, "hom - ext = Euler form exhaustively; 100 decompose round-trips"):
+    with criterion(10, "hom = max(<a, b>, 0) exhaustively; 100 decompose round-trips"):
         passed, detail = selfcheck.check_rep_oracle(("A3", "D4"), roundtrips=100)
         assert passed, detail

@@ -78,3 +78,10 @@ def test_the_package_holds_no_fraction():
     # the ct table is proved by an integer identity and the oracle
     # eliminates in integers, so no module needs one
     assert [p.name for p in sorted(PACKAGE.glob("*.py")) if "Fraction" in p.read_text()] == []
+
+
+def test_only_the_knitting_and_its_coxeter_reader_name_the_tau_orbit_table():
+    # everything else reads tau-orbits through ar_quiver's public functions
+    # or ar._happel_object, so the table has one layout to keep
+    assert [p.stem for p in sorted(PACKAGE.glob("*.py")) if "_tau_orbits" in p.read_text()] == [
+        "ar_quiver", "quantum_cartan"]

@@ -349,15 +349,22 @@ def test_bgp_construction_path():
 
 
 def test_euler_identity_exhaustive_a3():
-    cd = rs.build_cartan("A", 3)
-    Q = ar.monotone_quiver(cd)
-    roots = rs.positive_roots(cd)
-    for a in roots:
-        for b in roots:
-            Ma, Mb = ro.indec_rep(Q, a), ro.indec_rep(Q, b)
-            assert ro.hom_dim_rep(Ma, Mb) - ro.ext1_dim_rep(Ma, Mb) == ar.euler_form(
-                Q, a, b
-            )
+    """A3 and every other type of rank <= 6, every ordered pair, three
+    orientations: hom - ext1 is the Euler form (true of any modules by
+    rank-nullity) and hom = max(<a, b>, 0) (directedness)."""
+    pairs = 0
+    for type_ in rs.all_ade_types(6):
+        cd = rs.build_cartan(*type_)
+        roots = rs.positive_roots(cd)
+        for Q in _three_orientations(cd):
+            reps = {a: ro.indec_rep(Q, a) for a in roots}
+            for a in roots:
+                for b in roots:
+                    hom, e = ro.hom_dim_rep(reps[a], reps[b]), ar.euler_form(Q, a, b)
+                    assert hom - ro.ext1_dim_rep(reps[a], reps[b]) == e, (Q, a, b)
+                    assert hom == max(e, 0), (Q, a, b)
+                    pairs += 1
+    assert pairs == 10_656
 
 
 def test_euler_identity_sampled_e6():
@@ -368,9 +375,9 @@ def test_euler_identity_sampled_e6():
     for _ in range(200):
         a, b = rng.choice(roots), rng.choice(roots)
         Ma, Mb = ro.indec_rep(Q, a), ro.indec_rep(Q, b)
-        assert ro.hom_dim_rep(Ma, Mb) - ro.ext1_dim_rep(Ma, Mb) == ar.euler_form(
-            Q, a, b
-        )
+        hom, e = ro.hom_dim_rep(Ma, Mb), ar.euler_form(Q, a, b)
+        assert hom - ro.ext1_dim_rep(Ma, Mb) == e
+        assert hom == max(e, 0)
 
 
 @settings(max_examples=40, deadline=None)
@@ -381,7 +388,20 @@ def test_hom_minus_ext_is_the_euler_form(data, type_, orientation):
     Q = ar.random_orientation(cd, orientation)
     a, b = (data.draw(st.sampled_from(rs.positive_roots(cd))) for _ in range(2))
     Ma, Mb = ro.indec_rep(Q, a), ro.indec_rep(Q, b)
-    assert ro.hom_dim_rep(Ma, Mb) - ro.ext1_dim_rep(Ma, Mb) == ar.euler_form(Q, a, b)
+    hom, e = ro.hom_dim_rep(Ma, Mb), ar.euler_form(Q, a, b)
+    assert hom - ro.ext1_dim_rep(Ma, Mb) == e
+    assert hom == max(e, 0)
+
+
+def test_hom_dim_rep_is_one_rank_not_a_basis():
+    # the length of the certified basis on every D4 pair, with no map built
+    cd = rs.build_cartan("D", 4)
+    roots = rs.positive_roots(cd)
+    for Q in _three_orientations(cd):
+        reps = [ro.indec_rep(Q, a) for a in roots]
+        lengths = [len(ro.hom_basis(M, N)) for M in reps for N in reps]
+        with mock.patch.object(ro, "hom_basis", side_effect=AssertionError):
+            assert [ro.hom_dim_rep(M, N) for M in reps for N in reps] == lengths
 
 
 def test_hom_basis_is_integral_and_primitive():

@@ -2,11 +2,12 @@
 
 The checks compare in bulk and compute each shared fact once; these
 mutations show that one wrong knitting entry, one wrong single step, one
-wrong ``ct`` entry or one wrong Hom count still reaches the verdict.  Each test first runs the check
-unpatched, which also fills the caches the patched function feeds, so the
-mutation cannot outlive the test.  The pair enumerations behind
-ext-oracle build each quiver once per least height function; they must
-still place every pair as ``common_heart`` does.
+wrong ``ct`` entry, one wrong Hom count or one wrong module still reaches
+the verdict.  Each test first runs the check unpatched, which also fills
+the caches the patched function feeds, so the mutation cannot outlive the
+test.  The pair enumerations behind ext-oracle build each quiver once per
+least height function; they must still place every pair as
+``common_heart`` does.
 """
 
 import random
@@ -112,6 +113,36 @@ def test_one_wrong_hom_count_fails_ext_oracle(monkeypatch):
     passed, detail = sc.check_ext_oracle(("A3",))
     assert not passed
     assert detail.startswith(f"A3: hom mismatch at {x},{y}")
+
+
+def test_a_random_module_at_one_root_fails_rep_oracle_but_not_the_euler_loop(monkeypatch):
+    # A seeded 0/1 representation with the dimensions of the highest D4 root
+    # stands in for its indecomposable.  hom - ext1 = <a, b> holds for any
+    # modules of these dimensions, so the Euler loop cannot see the swap.
+    assert sc.check_rep_oracle(("D4",), 0)[0]
+    cd = rs.build_cartan("D", 4)
+    Q, top = ar.monotone_quiver(cd), (1, 2, 1, 1)
+    rng = random.Random(1)
+    fake = ro.QuiverRep(Q, top, {
+        (u, v): [[rng.randint(0, 1) for _ in range(top[u - 1])] for _ in range(top[v - 1])]
+        for u, v in Q.arrows})
+    orig = ro.indec_rep
+    monkeypatch.setattr(ro, "indec_rep",
+                        lambda Q0, a: fake if (Q0, a) == (Q, top) else orig(Q0, a))
+    passed, detail = sc.check_rep_oracle(("D4",), 0)
+    assert not passed
+    assert detail.startswith("D4: hom != max(euler, 0) at ")
+    assert str(top) in detail
+
+    # the Euler loop this check replaced, inline: it passes on the same modules
+    roots = rs.positive_roots(cd)
+    reps = {a: ro.indec_rep(Q, a) for a in roots}
+    assert reps[top] is fake
+    for a in roots:
+        for b in roots:
+            h = ro.hom_dim_rep(reps[a], reps[b])
+            e = ro.ext1_dim_rep(reps[a], reps[b])
+            assert h - e == ar.euler_form(Q, a, b)
 
 
 def test_the_window_pairs_are_the_common_heart_placements_in_order():
