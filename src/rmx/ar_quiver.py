@@ -26,7 +26,6 @@ representation oracle, which builds on it, stays independent of them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import mul
 from typing import NamedTuple
@@ -37,24 +36,30 @@ from rmx.root_system import CartanData, Vec
 DeltaVertex = tuple[int, int]  # (vertex i, height p) with p = eps_i mod 2
 
 
-@dataclass(frozen=True, eq=False)
 class DynkinQuiver:
     """An orientation of the Dynkin diagram: one directed arrow per edge.
 
     Interned: build it through ``orient``, never directly.
     """
 
-    cd: CartanData
-    arrows: tuple[tuple[int, int], ...]
+    def __init__(self, cd: CartanData, arrows: tuple[tuple[int, int], ...]):
+        undirected = {(min(u, v), max(u, v)) for u, v in arrows}
+        expected = {(min(u, v), max(u, v)) for u, v in cd.edges}
+        if undirected != expected or len(arrows) != len(cd.edges):
+            raise ValueError("arrows must orient each diagram edge exactly once")
+        object.__setattr__(self, "cd", cd)
+        object.__setattr__(self, "arrows", arrows)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"DynkinQuiver is frozen: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self):
+        return f"DynkinQuiver(cd={self.cd!r}, arrows={self.arrows!r})"
 
     def __reduce__(self):
         return orient, (self.cd, self.arrows)
-
-    def __post_init__(self):
-        undirected = {(min(u, v), max(u, v)) for u, v in self.arrows}
-        expected = {(min(u, v), max(u, v)) for u, v in self.cd.edges}
-        if undirected != expected or len(self.arrows) != len(self.cd.edges):
-            raise ValueError("arrows must orient each diagram edge exactly once")
 
     def label(self) -> str:
         return ",".join(f"{u}>{v}" for u, v in sorted(self.arrows))

@@ -19,6 +19,10 @@ row is joined from text made once per export: an arrow is its source's head
 followed by the tail of its (target, multiplicity), a CSV or Markdown cell
 is the text of its value, and a JSON cell is its column's ``"key":`` prefix
 followed by the text of its value.
+
+``cmd_selfcheck`` imports ``selfcheck`` and ``cmd_export`` imports
+``schur_weyl`` when they run, so that the query commands, which read
+neither, start without compiling and importing them.
 """
 
 from __future__ import annotations
@@ -34,8 +38,6 @@ from rmx import ar_quiver as ar
 from rmx import denominators as dn
 from rmx import quantum_cartan as qc
 from rmx import root_system as rs
-from rmx import schur_weyl as sw
-from rmx import selfcheck
 
 
 MAX_ORDER = 512
@@ -296,6 +298,8 @@ def cmd_export(args):
             attrs[i, p] = {"i": i, "p": p, "root": ",".join(map(cell, root)),
                            "shift": shift}
         return _emit_graph(args.format, "ar_quiver", vertices, rows, attrs)
+    from rmx import schur_weyl as sw
+
     if args.what == "gamma":
         _check_p_window(args)
         return _emit_graph(args.format, "gamma",
@@ -322,6 +326,8 @@ def cmd_export(args):
 
 
 def cmd_selfcheck(args) -> tuple[str, int]:
+    from rmx import selfcheck
+
     report = selfcheck.run(args.scope)
     if args.format == "json":
         out = selfcheck.render_report(report) + "\n"

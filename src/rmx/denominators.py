@@ -5,16 +5,18 @@ prod_{l=1}^{h-1} (u - q^(l+1))^(ct_ij(l)).  Every window query (pole orders
 as the Ext window, the Hom window ``hom_dim``, irreducibility, the arrows of
 the Ext quiver in ``schur_weyl``) reads these zeros off ``zero_orders``, built
 once per type; Dorey middle terms are cross-checked through representations.
+``dorey_middle_term`` imports the representation oracle when it is called, so
+that ``import rmx`` and the window queries never load the oracle or its
+linear-algebra kernel.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from rmx import ar_quiver as ar
 from rmx import quantum_cartan as qc
-from rmx import rep_oracle as ro
 from rmx.ar_quiver import DeltaVertex, DynkinQuiver, IndecObject
 from rmx.root_system import CartanData
 
@@ -23,8 +25,7 @@ class NotSimplePoleError(ValueError):
     """The pair has no simple pole, so Dorey's rule does not apply."""
 
 
-@dataclass(frozen=True)
-class Denominator:
+class Denominator(NamedTuple):
     """Factor data of d_ij(u): exponent e -> multiplicity of (u - q^e)."""
 
     factors: tuple[tuple[int, int], ...]  # (exponent, multiplicity), sorted
@@ -47,8 +48,7 @@ class Denominator:
         return " ".join(parts)
 
 
-@dataclass(frozen=True)
-class Monomial:
+class Monomial(NamedTuple):
     """Sparse Laurent monomial in the variables Y[i,p], (i, p) in I x Z."""
 
     exps: tuple[tuple[tuple[int, int], int], ...]
@@ -245,6 +245,8 @@ def dorey_middle_term(cd: CartanData, Q: DynkinQuiver, xi, x: DeltaVertex,
             raise RuntimeError(f"a simple pole at distance h forces j = i*, "
                                f"got {x}, {y}")
         return Monomial.unit()
+    from rmx import rep_oracle as ro
+
     Qp, lo, root_x, root_y = common_heart(cd, x, y)
     middle = ro.nonsplit_extension(ro.indec_rep(Qp, root_x), ro.indec_rep(Qp, root_y))
     parts = ro.decompose(middle, between=(root_x, root_y))

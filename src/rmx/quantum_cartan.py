@@ -27,17 +27,16 @@ zero table ``denominators.zero_orders``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations, repeat
 from operator import add, sub
+from typing import NamedTuple
 
 from rmx import ar_quiver as ar
 from rmx.root_system import CartanData, Vec
 
 
-@dataclass(frozen=True)
-class CTildeTable:
+class CTildeTable(NamedTuple):
     """Integer table ct_ij(l) for 1 <= l <= L."""
 
     cd: CartanData

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, chain
 from operator import le, mul
@@ -37,37 +36,41 @@ class OracleError(RuntimeError):
     """An internal consistency check of the oracle failed."""
 
 
-@dataclass
 class QuiverRep:
     """Per-vertex dimensions plus one integer matrix per arrow.
 
-    The matrix on arrow u -> v has shape dims[v-1] x dims[u-1]; rows of a
-    zero-row matrix are simply absent.  A matrix on a pair that is not an
-    arrow of Q is rejected.
+    The dimensions are non-negative ints.  The matrix on arrow u -> v has
+    shape dims[v-1] x dims[u-1]; rows of a zero-row matrix are simply
+    absent.  A matrix on a pair that is not an arrow of Q is rejected.
     """
 
-    Q: DynkinQuiver
-    dims: Vec
-    mats: dict
-
-    def __post_init__(self):
-        if len(self.dims) != self.Q.cd.rank:
+    def __init__(self, Q: DynkinQuiver, dims: Vec, mats: dict):
+        if len(dims) != Q.cd.rank:
             raise ValueError("dims length mismatch")
-        stray = self.mats.keys() - set(self.Q.arrows)
+        if not set(map(type, dims)) <= {int} or min(dims, default=0) < 0:
+            raise ValueError(f"dims must be non-negative ints, got {dims!r}")
+        stray = mats.keys() - set(Q.arrows)
         if stray:
             raise ValueError(f"matrices on pairs that are no arrow of Q: "
                              f"{sorted(stray, key=repr)}")
         fixed = {}
-        for a in self.Q.arrows:
+        for a in Q.arrows:
             u, v = a
-            m = tuple(map(tuple, self.mats.get(a, ())))
-            if (len(m) != self.dims[v - 1]
-                    or not set(map(len, m)) <= {self.dims[u - 1]}):
+            m = tuple(map(tuple, mats.get(a, ())))
+            if len(m) != dims[v - 1] or not set(map(len, m)) <= {dims[u - 1]}:
                 raise ValueError(f"matrix shape mismatch on arrow {u}->{v}")
             if not set(map(type, chain.from_iterable(m))) <= {int}:
                 raise ValueError(f"non-integer entry on arrow {u}->{v}")
             fixed[a] = m
-        self.mats = fixed
+        self.Q, self.dims, self.mats = Q, dims, fixed
+
+    def __repr__(self):
+        return f"QuiverRep(Q={self.Q!r}, dims={self.dims!r}, mats={self.mats!r})"
+
+    def __eq__(self, other):
+        if type(other) is not QuiverRep:
+            return NotImplemented
+        return (self.Q, self.dims, self.mats) == (other.Q, other.dims, other.mats)
 
 
 def simple_rep(Q: DynkinQuiver, i: int) -> QuiverRep:

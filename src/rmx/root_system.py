@@ -23,7 +23,6 @@ Coxeter steps of ``ar_quiver`` apply a whole Coxeter word per call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 Vec = tuple[int, ...]
@@ -60,7 +59,6 @@ def _edges_for(family: str, rank: int) -> list[tuple[int, int]]:
     return [(i, i + 1) for i in range(1, rank - 1)] + [(3, rank)]
 
 
-@dataclass(frozen=True, eq=False)
 class CartanData:
     """Immutable, interned Cartan datum of a simply-laced simple Lie algebra.
 
@@ -76,9 +74,19 @@ class CartanData:
     ch. VI, Plates I, IV-VII), so neither builds the positive roots.
     """
 
-    family: str
-    rank: int
-    parity_base: int
+    def __init__(self, family: str, rank: int, parity_base: int):
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "parity_base", parity_base)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"CartanData is frozen: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self):
+        return (f"CartanData(family={self.family!r}, rank={self.rank!r}, "
+                f"parity_base={self.parity_base!r})")
 
     def __reduce__(self):
         return build_cartan, (self.family, self.rank, self.parity_base)

@@ -6,10 +6,9 @@ d_ji(u), read off ``denominators.zero_orders``."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations_with_replacement, groupby
 from operator import itemgetter
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from rmx import ar_quiver as ar
 from rmx import denominators as dn
@@ -29,27 +28,30 @@ class _Zero:
 ZERO = _Zero()
 
 
-@dataclass(frozen=True)
-class GammaWindow:
+class GammaWindow(NamedTuple):
     """A finite full subquiver of the Ext quiver: vertices plus arrow counts."""
 
     vertices: tuple
     arrows: tuple[tuple[object, object, int], ...]  # (src, dst, multiplicity)
 
 
-@dataclass(frozen=True)
-class FamilyMap:
-    """An injective map from an integer interval into the repetition quiver."""
-
+class _FamilyMapFields(NamedTuple):
     j_lo: int
     j_hi: int
     image: tuple[DeltaVertex, ...]
 
-    def __post_init__(self):
-        if len(self.image) != self.j_hi - self.j_lo + 1:
+
+class FamilyMap(_FamilyMapFields):
+    """An injective map from an integer interval into the repetition quiver."""
+
+    __slots__ = ()
+
+    def __new__(cls, j_lo: int, j_hi: int, image: tuple[DeltaVertex, ...]):
+        if len(image) != j_hi - j_lo + 1:
             raise ValueError("image length does not match the domain interval")
-        if len(set(self.image)) != len(self.image):
+        if len(set(image)) != len(image):
             raise ValueError("family map must be injective")
+        return super().__new__(cls, j_lo, j_hi, image)
 
     @property
     def domain(self) -> range:
@@ -174,8 +176,7 @@ def x_of_root(cd: CartanData, Q: DynkinQuiver, xi, N: int, j: int, l: int):
 # Kostant partitions of the monotone A-infinity quiver
 
 
-@dataclass(frozen=True)
-class KostantPartition:
+class KostantPartition(NamedTuple):
     """Multiset of interval roots alpha(j; l) -> multiplicity."""
 
     nu: tuple[tuple[tuple[int, int], int], ...]

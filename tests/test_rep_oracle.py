@@ -425,6 +425,14 @@ def test_rep_validation_rejects_bad_shapes():
             ro.QuiverRep(Q, (1, 1), {(2, 1): [[entry]]})
     with pytest.raises(ValueError, match=r"\(1, 2\)"):  # 1 -> 2 is no arrow of Q
         ro.QuiverRep(Q, (1, 1), {(1, 2): [[1]], (2, 1): [[0]]})
+    # dims are non-negative ints, even where no arrow reads them
+    A1 = ar.monotone_quiver(rs.build_cartan("A", 1))  # no arrows
+    for dims in ((-3,), (2.0,), (True,)):
+        with pytest.raises(ValueError, match="dims must be non-negative ints"):
+            ro.QuiverRep(A1, dims, {})
+    A3 = ar.monotone_quiver(rs.build_cartan("A", 3))
+    with pytest.raises(ValueError, match="dims must be non-negative ints"):
+        ro.QuiverRep(A3, (1, 1, 1.0), {(1, 2): [[0]], (2, 3): [[0]]})
 
 
 def _validated_mats_reference(Q, dims, mats):
