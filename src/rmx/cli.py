@@ -316,7 +316,7 @@ def cmd_export(args):
         Q = _parse_quiver(cd, args.quiver)
         xi = _height(Q, args.xi1 if args.xi1 is not None else -2)
         try:
-            fam = sw.type_a_family(cd, Q, xi, args.N, args.j_lo, args.j_hi)
+            fam = sw.type_a_family(Q, xi, args.N, args.j_lo, args.j_hi)
         except ValueError as exc:
             raise CliError(str(exc)) from exc
         win = sw.gamma_J(cd, fam)

@@ -230,10 +230,12 @@ def dorey_middle_term(cd: CartanData, Q: DynkinQuiver, xi, x: DeltaVertex,
     map from X and to Y, so only those roots are decomposed for.  At column
     distance exactly h the quotient object is the shift of the sub (forced
     by ct_ij(h-1) = delta_{j,i*}) and the middle term vanishes.  (Q, xi) is
-    validated but does not change the answer.  Every other simple pole is
-    placed, as r - p <= h - 2 + d(i*, j): at
-    r - p = h - 1 the pole is ct_ij(h-2) = ct_(j,i*)(2) = [j ~ i*].
+    validated (Q a quiver of cd, xi fitting Q) but does not change the
+    answer.  Every other simple pole is placed, as r - p <= h - 2 + d(i*, j):
+    at r - p = h - 1 the pole is ct_ij(h-2) = ct_(j,i*)(2) = [j ~ i*].
     """
+    if Q.cd is not cd:
+        raise ValueError(f"Q is a quiver of {Q.cd!r}, not of {cd!r}")
     ar.check_height(Q, xi)
     order = pole_order(cd, x, y)
     if order != 1:

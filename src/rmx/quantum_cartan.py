@@ -104,8 +104,10 @@ def ctilde_coxeter(cd, Q, xi, i: int, j: int, l: int) -> int:
     c^k(gamma_i), k = (l + xi_i - xi_j - 1)/2, with the fundamental weight
     w_j.  That vector is tau^k(I_i) read off the knitting table, negated
     when the shift is odd; tau^h adds the even shift -2, so k mod h is
-    enough.  Independent of the choice of (Q, xi); xi must fit Q.
+    enough.  Independent of the choice of Q, a quiver of cd, and xi of Q.
     """
+    if Q.cd is not cd:
+        raise ValueError(f"Q is a quiver of {Q.cd!r}, not of {cd!r}")
     ar.check_height(Q, xi)
     if l < 1:
         raise ValueError("l must be >= 1")
@@ -116,7 +118,7 @@ def ctilde_coxeter(cd, Q, xi, i: int, j: int, l: int) -> int:
     return -root[j - 1] if shift % 2 else root[j - 1]
 
 
-def ctilde_coxeter_table(cd: CartanData, Q, xi, L: int) -> CTildeTable:
+def ctilde_coxeter_table(Q, xi, L: int) -> CTildeTable:
     """``ctilde_coxeter`` at every (l, i, j) with 1 <= l <= L, as one table.
 
     xi is validated once, and each knitting entry tau^s(I_i) is read once,
@@ -129,7 +131,7 @@ def ctilde_coxeter_table(cd: CartanData, Q, xi, L: int) -> CTildeTable:
     ar.check_height(Q, xi)
     if L < 1:
         raise ValueError("truncation order must be >= 1")
-    h, eps = cd.h, cd.eps
+    h, eps = Q.cd.h, Q.cd.eps
     rows = []  # rows[i]: row i of every layer
     for i, orbit in enumerate(ar._tau_orbits(Q)):
         powers = [tuple(-c for c in root) if shift % 2 else root
@@ -143,7 +145,7 @@ def ctilde_coxeter_table(cd: CartanData, Q, xi, L: int) -> CTildeTable:
             line[l0 - 1::2] = ((column[k0:] + column[:k0]) * (count // h + 1))[:count]
             series.append(line)
         rows.append(zip(*series))
-    return CTildeTable(cd=cd, L=L, values=tuple(zip(*rows)))
+    return CTildeTable(cd=Q.cd, L=L, values=tuple(zip(*rows)))
 
 
 def check_ctilde_inversion(t: CTildeTable) -> list[str]:

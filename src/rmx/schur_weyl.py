@@ -2,7 +2,11 @@
 vertices, type-A subquiver families, Kostant partitions and graded nilpotent
 orbit bookkeeping for the monotone A-infinity quiver.  The Ext quiver has an
 arrow (i, r) -> (j, r - e) of multiplicity m for each zero q^e of order m of
-d_ji(u), read off ``denominators.zero_orders``."""
+d_ji(u), read off ``denominators.zero_orders``.
+
+Family vertices have one construction, ``_transport``: ``type_a_family`` is
+the transport at interval length 1, ``x_of_root`` and ``m_nu`` read it at any
+length, and each reads the Cartan datum off its quiver."""
 
 from __future__ import annotations
 
@@ -132,44 +136,41 @@ def _check_type_a_subquiver(Q: DynkinQuiver, N: int) -> None:
             raise ValueError("subquiver on 1..N-1 is not monotonely oriented")
 
 
-def type_a_family(cd: CartanData, Q: DynkinQuiver, xi, N: int,
-                  j_lo: int, j_hi: int) -> FamilyMap:
-    """The family j -> x(j): simples of the type-A path at even shifts, with
-    the long interval root theta = alpha_1 + ... + alpha_(N-1) filling the
-    multiples of N at odd shifts."""
+def _transport(Q: DynkinQuiver, xi, N: int, roots) -> list:
+    """The vertices x(j; l) of the interval roots (j, l), ZERO at l = N.
+
+    (Q, xi, N) is validated once, before any root.  The interval module of
+    length l < N is, through the repetitive algebra of the path 1..N-1, the
+    subpath object at (l, xi_l - 2j + 2); its root, padded by zeros, is a
+    root of Q, placed with the same shift.  Both Happel maps run unchecked:
+    xi restricts to a height of the monotone subpath, with Q's parities.
+    """
     ar.check_height(Q, xi)
     _check_type_a_subquiver(Q, N)
-    theta = tuple(1 if v < N else 0 for v in cd.vertices)
-    image = []
-    for j in range(j_lo, j_hi + 1):
-        i = (j - 1) % N + 1
-        k = (j - i) // N
-        if i < N:
-            obj = IndecObject(rs.simple_root(cd, i), -2 * k)
-        else:
-            obj = IndecObject(theta, -2 * k - 1)
-        image.append(ar.happel_inverse(Q, xi, obj))
+    sub_Q = ar.monotone_quiver(rs.build_cartan("A", N - 1, parity_base=Q.cd.eps_of(1)))
+    sub_xi = xi[:N - 1]
+    pad = (0,) * (Q.cd.rank - (N - 1))
+    out = []
+    for j, l in roots:
+        if not 1 <= l <= N:
+            raise ValueError(f"interval length {l} outside 1..N")
+        if l == N:
+            out.append(ZERO)
+            continue
+        root, shift = ar._happel_object(sub_Q, sub_xi, (l, xi[l - 1] - 2 * j + 2))
+        out.append(ar._happel_inverse(Q, xi, IndecObject(root + pad, shift)))
+    return out
+
+
+def type_a_family(Q: DynkinQuiver, xi, N: int, j_lo: int, j_hi: int) -> FamilyMap:
+    """The family j -> x(j; 1): the transport at interval length 1."""
+    image = _transport(Q, xi, N, ((j, 1) for j in range(j_lo, j_hi + 1)))
     return FamilyMap(j_lo=j_lo, j_hi=j_hi, image=tuple(image))
 
 
-def x_of_root(cd: CartanData, Q: DynkinQuiver, xi, N: int, j: int, l: int):
-    """Family vertex of the interval root alpha(j; l), or ZERO when l = N.
-
-    Interval modules of length l < N correspond, through the repetitive
-    algebra of the type-A path, to the subpath object at (l, xi_l - 2j + 2),
-    transported into the ambient repetition quiver.
-    """
-    if not 1 <= l <= N:
-        raise ValueError(f"interval length {l} outside 1..N")
-    if l == N:
-        return ZERO
-    _check_type_a_subquiver(Q, N)
-    sub_cd = rs.build_cartan("A", N - 1, parity_base=cd.eps_of(1))
-    sub_Q = ar.orient(sub_cd, [(i, i + 1) for i in range(1, N - 1)])
-    sub_xi = tuple(xi[:N - 1])
-    obj = ar.happel_object(sub_Q, sub_xi, (l, xi[l - 1] - 2 * j + 2))
-    padded = obj.root + (0,) * (cd.rank - (N - 1))
-    return ar.happel_inverse(Q, xi, IndecObject(padded, obj.shift))
+def x_of_root(Q: DynkinQuiver, xi, N: int, j: int, l: int):
+    """Family vertex of the interval root alpha(j; l), or ZERO when l = N."""
+    return _transport(Q, xi, N, [(j, l)])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -242,16 +243,11 @@ def kostant_partitions(beta: dict[int, int],
     return sorted(out, key=lambda kp: kp.nu)
 
 
-def m_nu(cd: CartanData, Q: DynkinQuiver, xi, N: int,
-         nu: KostantPartition) -> Monomial:
-    """The dominant monomial of a partition: one Y per surviving interval."""
-    mono = Monomial.unit()
-    for (j, l), c in nu.nu:
-        x = x_of_root(cd, Q, xi, N, j, l)
-        if x is ZERO:
-            continue
-        mono = mono * Monomial.y(*x, e=c)
-    return mono
+def m_nu(Q: DynkinQuiver, xi, N: int, nu: KostantPartition) -> Monomial:
+    """The dominant monomial of a partition: one Y per surviving interval,
+    each at its own vertex, since the transport is injective below l = N."""
+    xs = _transport(Q, xi, N, (root for root, _ in nu.nu))
+    return Monomial.from_dict({x: c for x, (_, c) in zip(xs, nu.nu) if x is not ZERO})
 
 
 def _interval_hom(a: tuple[int, int], b: tuple[int, int]) -> int:

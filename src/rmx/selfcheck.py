@@ -53,7 +53,7 @@ def check_ctilde_dual_method(max_rank: int = 8):
         table = qc.ctilde_table(cds[0], L)  # the recurrence reads only the adjacency
         for parity, cd in enumerate(cds):
             for Q in _three_orientations(cd):
-                coxeter = qc.ctilde_coxeter_table(cd, Q, ar.default_height(Q), L)
+                coxeter = qc.ctilde_coxeter_table(Q, ar.default_height(Q), L)
                 if coxeter.values == table.values:
                     continue
                 for i in cd.vertices:
@@ -134,8 +134,8 @@ def check_tau_nakayama(max_rank: int = 8):
     steps of ``coxeter_apply`` (or ``tau_object``) from a root not yet
     checked: entry k + h is tau^h of entry k, so one walk checks its h
     entries k < h.  The Coxeter walk keys what it checked by signed vector,
-    so every positive root is checked as itself.  (Q, xi) is validated once
-    for the unchecked Happel maps.
+    so every positive root is checked as itself.  ``default_height`` checks
+    the xi that the unchecked Happel maps read.
     """
     bad = []
     for cd in _types(max_rank):
@@ -158,7 +158,6 @@ def check_tau_nakayama(max_rank: int = 8):
                     if t != IndecObject(o.root, o.shift - 2):
                         bad.append(f"{label}: knitting tau^h is not shift -2 at {o.root}")
                 knitted.update(o.root for o in walk[:h])
-        ar.check_height(Q, xi)
         for i in cd.vertices:  # so every (i*, p + h) below is a vertex
             ar.check_delta_vertex(cd, (cd.star_of(i), cd.eps_of(i) + h))
         for i, p in ar.delta_vertices(cd, -3 * h, 3 * h):
@@ -245,7 +244,7 @@ def check_closed_forms(include_e: bool = True, max_a_rank: int = 8):
     for n in range(1, max_a_rank + 1):
         cd = rs.build_cartan("A", n)
         Q = ar.monotone_quiver(cd)
-        fam = sw.type_a_family(cd, Q, ar.default_height(Q, -2), n + 1, -8, 8)
+        fam = sw.type_a_family(Q, ar.default_height(Q, -2), n + 1, -8, 8)
         for j in fam.domain:
             if fam.of(j) != (1, -2 * j):
                 bad.append(f"A{n}: x({j}) = {fam.of(j)}")
@@ -256,7 +255,7 @@ def check_closed_forms(include_e: bool = True, max_a_rank: int = 8):
         cd = rs.build_cartan(family, n)
         Q = ar.monotone_quiver(cd)
         h, star = cd.h, cd.star_of(n - 1)
-        fam = sw.type_a_family(cd, Q, ar.default_height(Q, -2), n, -8, 8)
+        fam = sw.type_a_family(Q, ar.default_height(Q, -2), n, -8, 8)
         for j in fam.domain:
             i = (j - 1) % n + 1
             k = (j - i) // n
@@ -296,9 +295,9 @@ def check_dorey(configs=(("A", 3, 4, 2), ("D", 4, 4, 4))):
             for l in range(2, N + 1):
                 for lp in range(1, l):
                     lpp = l - lp
-                    y = sw.x_of_root(cd, Q, xi, N, j, lp)
-                    x = sw.x_of_root(cd, Q, xi, N, j + lp, lpp)
-                    want_x = sw.x_of_root(cd, Q, xi, N, j, l)
+                    y = sw.x_of_root(Q, xi, N, j, lp)
+                    x = sw.x_of_root(Q, xi, N, j + lp, lpp)
+                    want_x = sw.x_of_root(Q, xi, N, j, l)
                     want = (
                         dn.Monomial.unit()
                         if want_x is sw.ZERO
@@ -339,8 +338,8 @@ def check_kostant_census(max_weight: int = 5):
                 bad.append(f"beta {key}: negative orbit dimension")
     for j in range(-2, 3):
         for l in range(1, N + 1):
-            got = sw.m_nu(cd, Q, xi, N, sw.delta_partition(j, l))
-            x = sw.x_of_root(cd, Q, xi, N, j, l)
+            got = sw.m_nu(Q, xi, N, sw.delta_partition(j, l))
+            x = sw.x_of_root(Q, xi, N, j, l)
             want = dn.Monomial.unit() if x is sw.ZERO else dn.Monomial.y(*x)
             if got != want:
                 bad.append(f"m_delta({j},{l}) = {got.render()} != {want.render()}")

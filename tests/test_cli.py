@@ -559,7 +559,7 @@ def test_streamed_gamma_j_export_is_the_reference_graph(ty, N, j_lo, width, fmt)
     argv = ["export", "gamma-j", "--type", ty[0], "--rank", str(ty[1]), "--N", str(N),
             "--j-lo", str(j_lo), "--j-hi", str(j_lo + width), "--format", fmt]
     try:
-        fam = sw.type_a_family(cd, Q, ar.default_height(Q, -2), N, j_lo, j_lo + width)
+        fam = sw.type_a_family(Q, ar.default_height(Q, -2), N, j_lo, j_lo + width)
     except ValueError:
         assert _stdout(argv) == (2, "")
         return

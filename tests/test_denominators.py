@@ -176,7 +176,7 @@ def test_the_window_queries_of_one_type_read_its_ct_table_once(monkeypatch):
     dn.zero_orders.cache_clear()
     for p_lo, p_hi in ((-4, 4), (0, 8), (-10, -2)):
         assert list(sw.gamma_rows(cd, p_lo, p_hi))
-    fam = sw.type_a_family(cd, Q, ar.default_height(Q, -2), 4, -3, 3)
+    fam = sw.type_a_family(Q, ar.default_height(Q, -2), 4, -3, 3)
     assert sw.gamma_J(cd, fam).arrows
     for i, j in product(cd.vertices, repeat=2):
         dn.denominator(cd, i, j)
@@ -400,6 +400,15 @@ def test_dorey_examples():
     assert dn.dorey_middle_term(cd1, Q1, xi1, (1, 0), (1, 2)) == Monomial.unit()
     with pytest.raises(dn.NotSimplePoleError):
         dn.dorey_middle_term(cd2, Q, xi, (1, 0), (2, 1))
+
+
+def test_dorey_rejects_a_quiver_of_another_datum():
+    # (Q, xi) never changes the answer, but an A4 quiver passed with A2 data
+    # was validated against A4 and the A2 answer returned
+    a2 = rs.build_cartan("A", 2)
+    Q = ar.monotone_quiver(rs.build_cartan("A", 4))
+    with pytest.raises(ValueError, match="not of"):
+        dn.dorey_middle_term(a2, Q, ar.default_height(Q), (2, -1), (2, 1))
 
 
 def test_dorey_e7_through_the_oracle():

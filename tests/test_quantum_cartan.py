@@ -235,7 +235,7 @@ def test_dual_method_agreement(family, rank):
         ]
         for Q in quivers:
             xi = ar.default_height(Q)
-            assert qc.ctilde_coxeter_table(cd, Q, xi, 2 * cd.h).values == table.values
+            assert qc.ctilde_coxeter_table(Q, xi, 2 * cd.h).values == table.values
             for i in cd.vertices:
                 for j in cd.vertices:
                     for l in range(1, 2 * cd.h + 1):
@@ -257,7 +257,7 @@ def test_coxeter_table_matches_the_formula_entry_by_entry(family, rank):
                 want = [tuple(qc.ctilde_coxeter(cd, Q, xi, i, j, l) for l in range(1, 3 * h + 1))
                         for i in cd.vertices for j in cd.vertices]
                 for L in sorted({1, 2, h - 1, h, 2 * h + 1, 3 * h}):
-                    table = qc.ctilde_coxeter_table(cd, Q, xi, L)
+                    table = qc.ctilde_coxeter_table(Q, xi, L)
                     assert (table.cd, table.L) == (cd, L)
                     assert [ct_series(table, i, j) for i in cd.vertices
                             for j in cd.vertices] == [series[:L] for series in want], (
@@ -268,9 +268,20 @@ def test_coxeter_table_rejects_bad_input():
     cd = rs.build_cartan("A", 3)
     Q = ar.monotone_quiver(cd)
     with pytest.raises(ValueError):
-        qc.ctilde_coxeter_table(cd, Q, (0, 1, 0), 4)
+        qc.ctilde_coxeter_table(Q, (0, 1, 0), 4)
     with pytest.raises(ValueError):
-        qc.ctilde_coxeter_table(cd, Q, ar.default_height(Q), 0)
+        qc.ctilde_coxeter_table(Q, ar.default_height(Q), 0)
+
+
+def test_coxeter_formula_rejects_a_quiver_of_another_datum():
+    # an A4 quiver read against A2 data gave wrong values, such as
+    # ct_22(3) = 1 where the recurrence has 0
+    a2 = rs.build_cartan("A", 2)
+    Q = ar.monotone_quiver(rs.build_cartan("A", 4))
+    assert qc.ctilde(a2, 2, 2, 3) == 0
+    for cd in (a2, rs.build_cartan("A", 4, parity_base=1)):
+        with pytest.raises(ValueError, match="not of"):
+            qc.ctilde_coxeter(cd, Q, ar.default_height(Q), 2, 2, 3)
 
 
 def test_table_independent_of_parity_choice():

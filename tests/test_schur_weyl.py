@@ -1,4 +1,5 @@
 from itertools import product
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,7 @@ from rmx import ar_quiver as ar
 from rmx import denominators as dn
 from rmx import root_system as rs
 from rmx import schur_weyl as sw
+from rmx import selfcheck
 from rmx.denominators import Monomial
 
 
@@ -99,7 +101,7 @@ def test_gamma_j_matches_all_pairs(ty, data):
     xi1 = cd.eps_of(1) + 2 * data.draw(st.integers(-20, 20))
     j_lo = data.draw(st.integers(-60, 60))
     j_hi = j_lo + data.draw(st.integers(0, 40))
-    fam = sw.type_a_family(cd, Q, ar.default_height(Q, xi1), N, j_lo, j_hi)
+    fam = sw.type_a_family(Q, ar.default_height(Q, xi1), N, j_lo, j_hi)
     if data.draw(st.booleans()):
         # any injective map: a source then has several targets, out of
         # domain order, where a type-A family has one
@@ -124,7 +126,7 @@ def test_window_arrows_are_sorted(family, rank):
     cd = rs.build_cartan(family, rank)
     Q = ar.monotone_quiver(cd)
     N = rank + 1 if family == "A" else rank
-    fam = sw.type_a_family(cd, Q, ar.default_height(Q, -2), N, -8, 8)
+    fam = sw.type_a_family(Q, ar.default_height(Q, -2), N, -8, 8)
     for win in (gamma_window(cd, -cd.h, cd.h), sw.gamma_J(cd, fam)):
         assert win.arrows
         assert win.arrows == tuple(sorted(win.arrows))
@@ -153,7 +155,7 @@ def arrow_mult(win, u, v) -> int:
 def test_gamma_j_is_full_subquiver_of_window():
     cd = rs.build_cartan("A", 3)
     Q = ar.monotone_quiver(cd)
-    fam = sw.type_a_family(cd, Q, ar.default_height(Q, -2), 4, -2, 2)
+    fam = sw.type_a_family(Q, ar.default_height(Q, -2), 4, -2, 2)
     ps = [p for _, p in fam.image]
     win = gamma_window(cd, min(ps), max(ps))
     gj = sw.gamma_J(cd, fam)
@@ -189,7 +191,7 @@ def test_type_a_family_closed_form():
     for n in range(1, 6):
         cd = rs.build_cartan("A", n)
         Q = ar.monotone_quiver(cd)
-        fam = sw.type_a_family(cd, Q, ar.default_height(Q, -2), n + 1, -8, 8)
+        fam = sw.type_a_family(Q, ar.default_height(Q, -2), n + 1, -8, 8)
         assert all(fam.of(j) == (1, -2 * j) for j in fam.domain)
         assert sw.verify_a_infinity(cd, fam)
 
@@ -201,7 +203,7 @@ def test_type_d_family_closed_form():
         h = cd.h
         star = cd.star_of(n - 1)
         assert star == (n - 1 if n % 2 == 0 else n)
-        fam = sw.type_a_family(cd, Q, ar.default_height(Q, -2), n, -8, 8)
+        fam = sw.type_a_family(Q, ar.default_height(Q, -2), n, -8, 8)
         for j in fam.domain:
             i = (j - 1) % n + 1
             k = (j - i) // n
@@ -221,7 +223,7 @@ def test_type_e_family_closed_form():
         h = cd.h
         star = cd.star_of(n - 1)
         assert star == (1 if n == 6 else n - 1)
-        fam = sw.type_a_family(cd, Q, ar.default_height(Q, -2), n, -8, 8)
+        fam = sw.type_a_family(Q, ar.default_height(Q, -2), n, -8, 8)
         for j in fam.domain:
             i = (j - 1) % n + 1
             k = (j - i) // n
@@ -238,31 +240,111 @@ def test_a_infinity_for_all_required_configurations():
     for family, rank, N in configs:
         cd = rs.build_cartan(family, rank)
         Q = ar.monotone_quiver(cd)
-        fam = sw.type_a_family(cd, Q, ar.default_height(Q, -2), N, -8, 8)
+        fam = sw.type_a_family(Q, ar.default_height(Q, -2), N, -8, 8)
         assert sw.verify_a_infinity(cd, fam), (family, rank)
 
 
 def test_scrambled_family_fails_a_infinity():
     cd = rs.build_cartan("A", 3)
     Q = ar.monotone_quiver(cd)
-    fam = sw.type_a_family(cd, Q, ar.default_height(Q, -2), 4, -2, 2)
+    fam = sw.type_a_family(Q, ar.default_height(Q, -2), 4, -2, 2)
     scrambled = sw.FamilyMap(j_lo=-2, j_hi=2, image=tuple(reversed(fam.image)))
     assert not sw.verify_a_infinity(cd, scrambled)
+
+
+def reference_type_a_family(Q, xi, N, j_lo, j_hi):
+    """The family map built on its own: simples of the type-A path at even
+    shifts, theta = alpha_1 + ... + alpha_(N-1) at odd shifts, one checked
+    ``happel_inverse`` per j."""
+    cd = Q.cd
+    ar.check_height(Q, xi)
+    sw._check_type_a_subquiver(Q, N)
+    theta = tuple(1 if v < N else 0 for v in cd.vertices)
+    image = []
+    for j in range(j_lo, j_hi + 1):
+        i = (j - 1) % N + 1
+        k = (j - i) // N
+        if i < N:
+            obj = ar.IndecObject(rs.simple_root(cd, i), -2 * k)
+        else:
+            obj = ar.IndecObject(theta, -2 * k - 1)
+        image.append(ar.happel_inverse(Q, xi, obj))
+    return sw.FamilyMap(j_lo=j_lo, j_hi=j_hi, image=tuple(image))
+
+
+def reference_x_of_root(Q, xi, N, j, l):
+    """x(j; l) for l < N with checked Happel maps: the subpath object at
+    (l, xi_l - 2j + 2), padded and placed in Q."""
+    cd = Q.cd
+    sub_cd = rs.build_cartan("A", N - 1, parity_base=cd.eps_of(1))
+    sub_Q = ar.orient(sub_cd, [(i, i + 1) for i in range(1, N - 1)])
+    obj = ar.happel_object(sub_Q, tuple(xi[:N - 1]), (l, xi[l - 1] - 2 * j + 2))
+    padded = obj.root + (0,) * (cd.rank - (N - 1))
+    return ar.happel_inverse(Q, xi, ar.IndecObject(padded, obj.shift))
+
+
+def _family_sweep():
+    """(Q, xi, N) over every type of rank <= 8, both parities, the three
+    orientations of the selfcheck and each N whose vertices 1..N-1 are a
+    monotone path of Q, at xi_1 in {eps_1 - 2, eps_1, eps_1 + 2}."""
+    for ty in rs.all_ade_types(8):
+        for parity in (0, 1):
+            cd = rs.build_cartan(*ty, parity_base=parity)
+            for Q in selfcheck._three_orientations(cd):
+                for N in range(2, cd.rank + 2):
+                    try:
+                        sw._check_type_a_subquiver(Q, N)
+                    except ValueError:
+                        continue
+                    for xi1 in (cd.eps_of(1) - 2, cd.eps_of(1), cd.eps_of(1) + 2):
+                        yield Q, ar.default_height(Q, xi1), N
+
+
+def test_family_vertices_match_the_reference_constructions():
+    cases = 0
+    for Q, xi, N in _family_sweep():
+        fam = sw.type_a_family(Q, xi, N, -9, 9)
+        assert fam == reference_type_a_family(Q, xi, N, -9, 9), (Q, xi, N)
+        for j in fam.domain:
+            for l in range(1, N):
+                assert sw.x_of_root(Q, xi, N, j, l) == reference_x_of_root(
+                    Q, xi, N, j, l), (Q, xi, N, j, l)
+                cases += 1
+    assert cases == 38874  # 801 (Q, xi, N), with repeats where orientations coincide
 
 
 def test_type_a_family_preconditions():
     cd = rs.build_cartan("A", 3)
     backwards = ar.orient(cd, [(2, 1), (3, 2)])
     with pytest.raises(ValueError):
-        sw.type_a_family(cd, backwards, ar.default_height(backwards), 4, 0, 3)
+        sw.type_a_family(backwards, ar.default_height(backwards), 4, 0, 3)
     Q = ar.monotone_quiver(cd)
     with pytest.raises(ValueError):
-        sw.type_a_family(cd, Q, ar.default_height(Q, -2), 9, 0, 3)
+        sw.type_a_family(Q, ar.default_height(Q, -2), 9, 0, 3)
     cde = rs.build_cartan("E", 6)
     Qe = ar.monotone_quiver(cde)
     with pytest.raises(ValueError):
         # vertices 1..6 of E6 are not a path (branch at 3)
-        sw.type_a_family(cde, Qe, ar.default_height(Qe, -2), 7, 0, 3)
+        sw.type_a_family(Qe, ar.default_height(Qe, -2), 7, 0, 3)
+
+
+def test_every_family_function_validates_before_the_length_n_shortcut():
+    # an interval of length N maps to ZERO, but only once (Q, xi, N) holds:
+    # each case raises the error type_a_family raises for the same data
+    cd = rs.build_cartan("A", 3)
+    Q = ar.monotone_quiver(cd)
+    xi = ar.default_height(Q, -2)
+    backwards = ar.orient(cd, [(2, 1), (3, 2)])
+    cases = [(Q, xi, 1), (Q, xi, 9), (backwards, ar.default_height(backwards), 4),
+             (Q, (0, 0, 0), 4), (backwards, (5, 5, 5), 4)]
+    for Qc, xic, N in cases:
+        with pytest.raises(ValueError) as family_error:
+            sw.type_a_family(Qc, xic, N, 0, 0)
+        message = re.escape(str(family_error.value))
+        with pytest.raises(ValueError, match=message):
+            sw.x_of_root(Qc, xic, N, 0, N)
+        with pytest.raises(ValueError, match=message):
+            sw.m_nu(Qc, xic, N, sw.delta_partition(0, N))
 
 
 def test_kostant_partition_examples():
@@ -287,27 +369,27 @@ def test_x_of_root_examples():
     cd = rs.build_cartan("A", 2)
     Q = ar.orient(cd, [(1, 2)])
     xi = (-2, -3)
-    assert sw.x_of_root(cd, Q, xi, 3, 1, 1) == (1, -2)
-    assert sw.x_of_root(cd, Q, xi, 3, 0, 3) is sw.ZERO
-    fam = sw.type_a_family(cd, Q, xi, 3, -4, 4)
+    assert sw.x_of_root(Q, xi, 3, 1, 1) == (1, -2)
+    assert sw.x_of_root(Q, xi, 3, 0, 3) is sw.ZERO
+    fam = sw.type_a_family(Q, xi, 3, -4, 4)
     for j in fam.domain:
-        assert sw.x_of_root(cd, Q, xi, 3, j, 1) == fam.of(j)
+        assert sw.x_of_root(Q, xi, 3, j, 1) == fam.of(j)
     # the length-2 interval at j=1 lands on the top interval module
-    x = sw.x_of_root(cd, Q, xi, 3, 1, 2)
+    x = sw.x_of_root(Q, xi, 3, 1, 2)
     assert ar.happel_object(Q, xi, x) == ar.IndecObject((1, 1), 0)
     with pytest.raises(ValueError):
-        sw.x_of_root(cd, Q, xi, 3, 0, 4)
+        sw.x_of_root(Q, xi, 3, 0, 4)
 
 
 def test_m_nu_examples():
     cd = rs.build_cartan("A", 2)
     Q = ar.orient(cd, [(1, 2)])
     xi = (-2, -3)
-    assert sw.m_nu(cd, Q, xi, 3, sw.delta_partition(0, 3)) == Monomial.unit()
-    fam = sw.type_a_family(cd, Q, xi, 3, -4, 4)
-    assert sw.m_nu(cd, Q, xi, 3, sw.delta_partition(0, 1)) == Monomial.y(*fam.of(0))
-    x = sw.x_of_root(cd, Q, xi, 3, 1, 2)
-    assert sw.m_nu(cd, Q, xi, 3, sw.delta_partition(1, 2)) == Monomial.y(*x)
+    assert sw.m_nu(Q, xi, 3, sw.delta_partition(0, 3)) == Monomial.unit()
+    fam = sw.type_a_family(Q, xi, 3, -4, 4)
+    assert sw.m_nu(Q, xi, 3, sw.delta_partition(0, 1)) == Monomial.y(*fam.of(0))
+    x = sw.x_of_root(Q, xi, 3, 1, 2)
+    assert sw.m_nu(Q, xi, 3, sw.delta_partition(1, 2)) == Monomial.y(*x)
 
 
 def test_orbit_census_example():
