@@ -211,15 +211,19 @@ def tau_object(Q: DynkinQuiver, obj: IndecObject, times: int) -> IndecObject:
 
 
 def check_vertex(cd: CartanData, *indices: int) -> None:
+    rank = cd.rank
     for i in indices:
-        if not 1 <= i <= cd.rank:
+        if not 1 <= i <= rank:
             raise ValueError(f"vertex index {i} out of range")
 
 
 def check_delta_vertex(cd: CartanData, *xs: DeltaVertex) -> None:
+    """Each (i, p) in turn: 1 <= i <= rank, then p of the parity eps_i."""
+    rank, eps = cd.rank, cd.eps
     for i, p in xs:
-        check_vertex(cd, i)
-        if (p - cd.eps_of(i)) % 2 != 0:
+        if not 1 <= i <= rank:
+            raise ValueError(f"vertex index {i} out of range")
+        if (p - eps[i - 1]) % 2:
             raise ValueError(f"({i},{p}) violates the parity constraint")
 
 

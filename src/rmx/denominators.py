@@ -4,7 +4,9 @@ The denominator between fundamental modules i and j is
 prod_{l=1}^{h-1} (u - q^(l+1))^(ct_ij(l)).  Every window query (pole orders
 as the Ext window, the Hom window ``hom_dim``, irreducibility, the arrows of
 the Ext quiver in ``schur_weyl``) reads these zeros off ``zero_orders``, built
-once per type; Dorey middle terms are cross-checked through representations.
+once per type.  The table holds the answers, the zero orders and each d_ij as
+a finished ``Denominator``, so a query validates its vertices once and reads
+it.  Dorey middle terms are cross-checked through representations.
 ``dorey_middle_term`` imports the representation oracle when it is called, so
 that ``import rmx`` and the window queries never load the oracle or its
 linear-algebra kernel.
@@ -97,25 +99,41 @@ class Monomial(NamedTuple):
 # the denominator formula
 
 
+class ZeroTable(NamedTuple):
+    """The zeros of every d_ij(u) of one type, as orders and as answers."""
+
+    orders: tuple[tuple[dict[int, int], ...], ...]  # [i-1][j-1]: e -> ct_ij(e - 1)
+    denominators: tuple[tuple[Denominator, ...], ...]  # [i-1][j-1]: d_ij, q convention
+
+
 @lru_cache(maxsize=None)
-def zero_orders(cd: CartanData) -> tuple[tuple[dict[int, int], ...], ...]:
-    """zero_orders(cd)[i-1][j-1]: the zeros of d_ij(u), each exponent
-    e = l + 1 -> its order ct_ij(l) != 0 for 1 <= l <= h - 1, by ascending e.
-    One table per type, shared by every caller, so read it and never write."""
+def zero_orders(cd: CartanData) -> ZeroTable:
+    """The zeros of each d_ij(u): ``orders[i-1][j-1]`` maps each exponent
+    e = l + 1 to its order ct_ij(l) != 0 for 1 <= l <= h - 1, by ascending
+    e, and ``denominators[i-1][j-1]`` is d_ij itself.  One table per type,
+    shared by every caller, so read it and never write."""
     layers = qc.ctilde_table(cd, 2 * cd.h).values[:cd.h - 1]
-    return tuple(tuple({l + 1: m for l, layer in enumerate(layers, 1) if (m := layer[i][j])}
-                       for j in range(cd.rank)) for i in range(cd.rank))
+    shared: dict = {}  # (e, m) -> the one tuple of it, held by every d_ij with that zero
+    orders, answers = [], []
+    for i in range(cd.rank):
+        row = [{l + 1: m for l, layer in enumerate(layers, 1) if (m := layer[i][j])}
+               for j in range(cd.rank)]
+        orders.append(tuple(row))
+        answers.append(tuple(
+            Denominator(tuple([shared.setdefault(z, z) for z in zeros.items()]), "q")
+            for zeros in row))
+    return ZeroTable(tuple(orders), tuple(answers))
 
 
 def denominator(cd: CartanData, i: int, j: int) -> Denominator:
     """d_ij(u) with zeros at q^(l+1), multiplicity ct_ij(l), 1 <= l <= h-1."""
     ar.check_vertex(cd, i, j)
-    return Denominator(factors=tuple(zero_orders(cd)[i - 1][j - 1].items()), convention="q")
+    return zero_orders(cd).denominators[i - 1][j - 1]
 
 
 def denominator_kashiwara(cd: CartanData, i: int, j: int) -> Denominator:
     """Same multiplicities with zeros at (-q)^(l+1) (crystal-basis convention)."""
-    return Denominator(factors=denominator(cd, i, j).factors, convention="minus_q")
+    return Denominator(denominator(cd, i, j).factors, "minus_q")
 
 
 def pole_order(cd: CartanData, x: DeltaVertex, y: DeltaVertex) -> int:
@@ -124,20 +142,24 @@ def pole_order(cd: CartanData, x: DeltaVertex, y: DeltaVertex) -> int:
     Ext^1 from the object at y into the object at x."""
     ar.check_delta_vertex(cd, x, y)
     (i, p), (j, r) = x, y
-    return zero_orders(cd)[i - 1][j - 1].get(r - p, 0)
+    return zero_orders(cd).orders[i - 1][j - 1].get(r - p, 0)
 
 
 def hom_dim(cd: CartanData, x: DeltaVertex, y: DeltaVertex) -> int:
     """dim Hom from the object at x to the object at y, ct_ij(r - p + 1) when
     0 <= r - p <= h - 2, else 0: AR duality Hom(X, Y) = D Ext^1(tau^-1 Y, X)
     reads it as the pole order at tau^-1 y = (j, r + 2)."""
-    ar.check_delta_vertex(cd, y)  # so an error names y, not tau^-1 y
-    j, r = y
-    return pole_order(cd, x, (j, r + 2))
+    ar.check_delta_vertex(cd, y, x)  # y first, so an error names y when both are bad
+    (i, p), (j, r) = x, y
+    return zero_orders(cd).orders[i - 1][j - 1].get(r + 2 - p, 0)
 
 
 def is_tensor_irreducible(cd: CartanData, x: DeltaVertex, y: DeltaVertex) -> bool:
-    return pole_order(cd, x, y) == 0 and pole_order(cd, y, x) == 0
+    """Whether pole_order(x, y) and pole_order(y, x) are both 0."""
+    ar.check_delta_vertex(cd, x, y)
+    (i, p), (j, r) = x, y
+    orders = zero_orders(cd).orders
+    return not (orders[i - 1][j - 1].get(r - p) or orders[j - 1][i - 1].get(p - r))
 
 
 # ---------------------------------------------------------------------------

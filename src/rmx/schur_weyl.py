@@ -2,7 +2,8 @@
 vertices, type-A subquiver families, Kostant partitions and graded nilpotent
 orbit bookkeeping for the monotone A-infinity quiver.  The Ext quiver has an
 arrow (i, r) -> (j, r - e) of multiplicity m for each zero q^e of order m of
-d_ji(u), read off ``denominators.zero_orders``.
+d_ji(u), read off ``denominators.zero_orders``; ``gamma_rows`` makes each row
+entry ((j, r - e), m) once per call.
 
 Family vertices have one construction, ``_transport``: ``type_a_family`` is
 the transport at interval length 1, ``x_of_root`` and ``m_nu`` read it at any
@@ -51,6 +52,9 @@ class FamilyMap(_FamilyMapFields):
     __slots__ = ()
 
     def __new__(cls, j_lo: int, j_hi: int, image: tuple[DeltaVertex, ...]):
+        if j_hi < j_lo - 1:  # j_hi = j_lo - 1 is the empty domain
+            raise ValueError(f"reversed domain [{j_lo}, {j_hi}]: "
+                             f"j_hi must be at least j_lo - 1")
         if len(image) != j_hi - j_lo + 1:
             raise ValueError("image length does not match the domain interval")
         if len(set(image)) != len(image):
@@ -67,6 +71,18 @@ class FamilyMap(_FamilyMapFields):
         return self.image[j - self.j_lo]
 
 
+class _Made(dict):
+    """key -> make(key), made on first use and shared after."""
+
+    def __init__(self, make):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
+
+
 def gamma_rows(cd: CartanData, p_lo: int, p_hi: int
                ) -> Iterator[tuple[DeltaVertex, list[tuple[DeltaVertex, int]]]]:
     """The Ext quiver on heights p_lo..p_hi by source row, lazily: (u, [(v, m),
@@ -75,16 +91,19 @@ def gamma_rows(cd: CartanData, p_lo: int, p_hi: int
 
     ``delta_vertices`` lists the sources by vertex i, so the zeros (j, e, m)
     of vertex i with e <= p_hi - p_lo are listed once, and a row keeps those
-    with r - e >= p_lo."""
-    zeros = dn.zero_orders(cd)
+    with r - e >= p_lo.  Each entry (v, m) is made once, on its first row,
+    and every later row that points at v with multiplicity m shares it."""
+    zeros = dn.zero_orders(cd).orders
     width = p_hi - p_lo
+    # (j, m) -> q -> the entry ((j, q), m)
+    columns = _Made(lambda jm: _Made(lambda q: ((jm[0], q), jm[1])))
     for i, sources in groupby(ar.delta_vertices(cd, p_lo, p_hi), itemgetter(0)):
-        out = [(j, e, m) for j, row in enumerate(zeros, 1)
+        out = [(e, columns[j, m]) for j, row in enumerate(zeros, 1)
                for e, m in reversed(row[i - 1].items()) if e <= width]
         for u in sources:
             r = u[1]
             top = r - p_lo
-            yield u, [((j, r - e), m) for j, e, m in out if e <= top]
+            yield u, [column[r - e] for e, column in out if e <= top]
 
 
 def gamma_arrows(cd: CartanData, p_lo: int, p_hi: int
@@ -99,7 +118,7 @@ def gamma_J(cd: CartanData, fam: FamilyMap) -> GammaWindow:
     arrows are read off the zeros of d_ki through the map from image vertex
     to domain index, by source, then by target."""
     ar.check_delta_vertex(cd, *fam.image)
-    zeros = dn.zero_orders(cd)
+    zeros = dn.zero_orders(cd).orders
     index = dict(zip(fam.image, fam.domain))
     arrows = []
     for j, (i, r) in zip(fam.domain, fam.image):

@@ -28,11 +28,13 @@ def _types(max_rank: int):
 
 
 def _three_orientations(cd):
-    return [
+    """The monotone, sink-source and a random quiver of cd, each once: the
+    quivers are interned, and on small types two of them coincide."""
+    return list(dict.fromkeys([
         ar.monotone_quiver(cd),
         ar.sink_source_quiver(cd),
         ar.random_orientation(cd, seed=11),
-    ]
+    ]))
 
 
 # ---------------------------------------------------------------------------

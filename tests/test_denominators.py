@@ -216,6 +216,63 @@ def test_pole_order_is_the_ext_window(family, rank, parity):
     for x, y in product(verts, repeat=2):
         assert dn.pole_order(cd, x, y) == reference_ext1_dim(cd, x, y), (x, y)
         assert dn.hom_dim(cd, x, y) == reference_hom_dim(cd, x, y), (x, y)
+        assert dn.is_tensor_irreducible(cd, x, y) == (
+            dn.pole_order(cd, x, y) == 0 and dn.pole_order(cd, y, x) == 0), (x, y)
+
+
+_A3_BAD_VERTICES = {(0, 0): "vertex index 0 out of range",
+                    (4, 0): "vertex index 4 out of range",
+                    (2, 0): "(2,0) violates the parity constraint"}
+
+
+def raised(query, *args) -> str:
+    with pytest.raises(ValueError) as exc:
+        query(*args)
+    return str(exc.value)
+
+
+@pytest.mark.parametrize("read", [dn.denominator, dn.denominator_kashiwara])
+def test_denominator_names_the_bad_index_in_either_argument(read):
+    cd = rs.build_cartan("A", 3)
+    for bad in (0, cd.rank + 1):
+        message = f"vertex index {bad} out of range"
+        assert raised(read, cd, bad, 2) == message
+        assert raised(read, cd, 2, bad) == message
+        assert raised(read, cd, bad, -bad) == message
+
+
+@pytest.mark.parametrize("query", [dn.pole_order, dn.hom_dim, dn.is_tensor_irreducible])
+def test_window_queries_name_the_bad_vertex_in_either_argument(query):
+    # index 0, index rank + 1 and a parity-wrong vertex, as x and as y
+    cd = rs.build_cartan("A", 3)
+    for bad, message in _A3_BAD_VERTICES.items():
+        for good in ((1, 0), (2, 1), (3, 4)):
+            assert raised(query, cd, bad, good) == message
+            assert raised(query, cd, good, bad) == message
+
+
+def test_hom_dim_names_y_when_both_vertices_are_bad():
+    cd = rs.build_cartan("A", 3)
+    for x, y in product(_A3_BAD_VERTICES, repeat=2):
+        assert raised(dn.hom_dim, cd, x, y) == _A3_BAD_VERTICES[y]
+        for query in (dn.pole_order, dn.is_tensor_irreducible):
+            assert raised(query, cd, x, y) == _A3_BAD_VERTICES[x]
+
+
+def test_warm_denominator_queries_construct_no_denominator(monkeypatch):
+    cd = rs.build_cartan("A", 32)
+    dn.denominator(cd, 1, 1)
+    made = []
+    Denominator = dn.Denominator
+
+    def counted(*args, **kwargs):
+        made.append(args)
+        return Denominator(*args, **kwargs)
+
+    monkeypatch.setattr(dn, "Denominator", counted)
+    answers = [dn.denominator(cd, i, j) for i, j in product(cd.vertices, repeat=2)]
+    assert len(answers) == 1024 and not made
+    assert all(type(d) is Denominator and d.convention == "q" for d in answers)
 
 
 def test_pole_order_rejects_the_vertex_it_was_given():

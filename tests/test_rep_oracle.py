@@ -349,9 +349,10 @@ def test_bgp_construction_path():
 
 
 def test_euler_identity_exhaustive_a3():
-    """A3 and every other type of rank <= 6, every ordered pair, three
-    orientations: hom - ext1 is the Euler form (true of any modules by
-    rank-nullity) and hom = max(<a, b>, 0) (directedness)."""
+    """A3 and every other type of rank <= 6, every ordered pair, the three
+    orientations (fewer where they coincide, as on A1 and A2): hom - ext1 is
+    the Euler form (true of any modules by rank-nullity) and hom = max(<a,
+    b>, 0) (directedness)."""
     pairs = 0
     for type_ in rs.all_ade_types(6):
         cd = rs.build_cartan(*type_)
@@ -364,7 +365,7 @@ def test_euler_identity_exhaustive_a3():
                     assert hom - ro.ext1_dim_rep(reps[a], reps[b]) == e, (Q, a, b)
                     assert hom == max(e, 0), (Q, a, b)
                     pairs += 1
-    assert pairs == 10_656
+    assert pairs == 10_645
 
 
 def test_euler_identity_sampled_e6():

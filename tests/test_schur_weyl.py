@@ -78,6 +78,16 @@ def test_gamma_arrows_match_all_pairs(ty, p_lo, width):
     assert tuple(sw.gamma_arrows(cd, p_lo, p_hi)) == expected
 
 
+def test_gamma_rows_share_each_target_entry():
+    # the A32 export: one ((j, q), m) object per target and multiplicity,
+    # shared by every row that points at it
+    cd = rs.build_cartan("A", 32)
+    rows = list(sw.gamma_rows(cd, 0, 33))
+    entries = [entry for _, row in rows for entry in row]
+    assert len(entries) == 49_368
+    assert len({id(entry) for entry in entries}) == len(set(entries)) == 512
+
+
 def _family_sizes(family, rank):
     """The N for which vertices 1..N-1 carry a type-A family."""
     cd = rs.build_cartan(family, rank)
@@ -310,7 +320,7 @@ def test_family_vertices_match_the_reference_constructions():
                 assert sw.x_of_root(Q, xi, N, j, l) == reference_x_of_root(
                     Q, xi, N, j, l), (Q, xi, N, j, l)
                 cases += 1
-    assert cases == 38874  # 801 (Q, xi, N), with repeats where orientations coincide
+    assert cases == 37791  # 759 (Q, xi, N): each distinct quiver once
 
 
 def test_type_a_family_preconditions():
@@ -326,6 +336,16 @@ def test_type_a_family_preconditions():
     with pytest.raises(ValueError):
         # vertices 1..6 of E6 are not a path (branch at 3)
         sw.type_a_family(Qe, ar.default_height(Qe, -2), 7, 0, 3)
+
+
+def test_type_a_family_rejects_a_reversed_domain():
+    cd = rs.build_cartan("A", 3)
+    Q = ar.monotone_quiver(cd)
+    xi = (-2, -3, -4)
+    assert sw.type_a_family(Q, xi, 4, 3, 2).domain == range(3, 3)
+    for j_lo, j_hi in ((3, 0), (3, 1), (-5, -9)):
+        with pytest.raises(ValueError, match=rf"reversed domain \[{j_lo}, {j_hi}\]"):
+            sw.type_a_family(Q, xi, 4, j_lo, j_hi)
 
 
 def test_every_family_function_validates_before_the_length_n_shortcut():

@@ -175,6 +175,21 @@ def test_inversion_counts_the_types_it_checked():
     assert sc.check_ctilde_inversion(8)[1] == detail.format(16)
 
 
+def test_three_orientations_lists_each_quiver_once_in_order():
+    # the interned quivers coincide on small types (A1, A2, and A3 and D4 at
+    # parity 1): 9 of the 96 built over rank <= 8 are repeats
+    built = listed = 0
+    for family, n in rs.all_ade_types(8):
+        for parity in (0, 1):
+            cd = rs.build_cartan(family, n, parity_base=parity)
+            tried = [ar.monotone_quiver(cd), ar.sink_source_quiver(cd),
+                     ar.random_orientation(cd, seed=11)]
+            qs = sc._three_orientations(cd)
+            assert list(qs) == list(dict.fromkeys(tried)), cd.label()
+            built, listed = built + len(tried), listed + len(qs)
+    assert (built, listed) == (96, 87)
+
+
 def test_dual_method_builds_one_recurrence_table_per_type(monkeypatch):
     calls = []
     orig = qc.ctilde_table
