@@ -214,7 +214,7 @@ def check_vertex(cd: CartanData, *indices: int) -> None:
     rank = cd.rank
     for i in indices:
         if not 1 <= i <= rank:
-            raise ValueError(f"vertex index {i} out of range")
+            raise ValueError(f"vertex index {i} out of range 1..{rank}")
 
 
 def check_delta_vertex(cd: CartanData, *xs: DeltaVertex) -> None:
@@ -222,7 +222,7 @@ def check_delta_vertex(cd: CartanData, *xs: DeltaVertex) -> None:
     rank, eps = cd.rank, cd.eps
     for i, p in xs:
         if not 1 <= i <= rank:
-            raise ValueError(f"vertex index {i} out of range")
+            raise ValueError(f"vertex index {i} out of range 1..{rank}")
         if (p - eps[i - 1]) % 2:
             raise ValueError(f"({i},{p}) violates the parity constraint")
 

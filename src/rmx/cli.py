@@ -160,8 +160,10 @@ def cmd_ctilde(args):
 
 def cmd_denominator(args):
     cd = _build(args.type, args.rank)
-    if not (1 <= args.i <= cd.rank and 1 <= args.j <= cd.rank):
-        raise CliError(f"vertex indices must lie in 1..{cd.rank}")
+    try:
+        ar.check_vertex(cd, args.i, args.j)
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
     d = (
         dn.denominator_kashiwara(cd, args.i, args.j)
         if args.convention == "minus_q"

@@ -106,13 +106,6 @@ def gamma_rows(cd: CartanData, p_lo: int, p_hi: int
             yield u, [column[r - e] for e, column in out if e <= top]
 
 
-def gamma_arrows(cd: CartanData, p_lo: int, p_hi: int
-                 ) -> Iterator[tuple[DeltaVertex, DeltaVertex, int]]:
-    """The arrows (u, v, m) of the Ext quiver on heights p_lo..p_hi, lazily:
-    ``gamma_rows`` flattened, by source, then by target."""
-    return ((u, v, m) for u, row in gamma_rows(cd, p_lo, p_hi) for v, m in row)
-
-
 def gamma_J(cd: CartanData, fam: FamilyMap) -> GammaWindow:
     """Full subquiver on the family image, re-indexed by the domain.  Its
     arrows are read off the zeros of d_ki through the map from image vertex

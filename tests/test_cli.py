@@ -67,6 +67,16 @@ def test_denominator_out_of_range_index(capsys):
     assert code == 2 and "1..2" in err
 
 
+def test_a_bad_vertex_index_gets_the_librarys_message_from_every_command(capsys):
+    message = "vertex index 0 out of range 1..3"
+    for argv in (["denominator", "--type", "A", "--rank", "3", "--i", "0", "--j", "1"],
+                 ["denominator", "--type", "A", "--rank", "3", "--i", "1", "--j", "0"],
+                 ["pole-order", "A", "3", "--x", "0,0", "--y", "1,0"],
+                 ["irreducible", "A", "3", "--x", "1,0", "--y", "0,0"]):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2 and message in err, argv
+
+
 def test_query_commands(capsys):
     code, out, _ = run_cli(capsys, "pole-order", "A", "2", "--x", "2,-1", "--y", "2,1")
     assert (code, out) == (0, "1\n")
@@ -544,8 +554,8 @@ def test_streamed_gamma_export_is_the_reference_graph(ty, p_lo, width, fmt):
     p_hi = p_lo + width
     code, out = _stdout(["export", "gamma", "--type", ty[0], "--rank", str(ty[1]),
                          "--p-lo", str(p_lo), "--p-hi", str(p_hi), "--format", fmt])
-    expected = _reference_graph(fmt, "gamma", ar.delta_vertices(cd, p_lo, p_hi),
-                                sw.gamma_arrows(cd, p_lo, p_hi))
+    arrows = ((u, v, m) for u, row in sw.gamma_rows(cd, p_lo, p_hi) for v, m in row)
+    expected = _reference_graph(fmt, "gamma", ar.delta_vertices(cd, p_lo, p_hi), arrows)
     assert code == 0 and out == expected
 
 

@@ -220,8 +220,8 @@ def test_pole_order_is_the_ext_window(family, rank, parity):
             dn.pole_order(cd, x, y) == 0 and dn.pole_order(cd, y, x) == 0), (x, y)
 
 
-_A3_BAD_VERTICES = {(0, 0): "vertex index 0 out of range",
-                    (4, 0): "vertex index 4 out of range",
+_A3_BAD_VERTICES = {(0, 0): "vertex index 0 out of range 1..3",
+                    (4, 0): "vertex index 4 out of range 1..3",
                     (2, 0): "(2,0) violates the parity constraint"}
 
 
@@ -235,7 +235,7 @@ def raised(query, *args) -> str:
 def test_denominator_names_the_bad_index_in_either_argument(read):
     cd = rs.build_cartan("A", 3)
     for bad in (0, cd.rank + 1):
-        message = f"vertex index {bad} out of range"
+        message = f"vertex index {bad} out of range 1..3"
         assert raised(read, cd, bad, 2) == message
         assert raised(read, cd, 2, bad) == message
         assert raised(read, cd, bad, -bad) == message

@@ -14,9 +14,11 @@ from rmx.denominators import Monomial
 
 
 def gamma_window(cd, p_lo, p_hi):
-    """The Ext quiver on heights p_lo..p_hi: its vertices and all arrows."""
+    """The Ext quiver on heights p_lo..p_hi: its vertices and all arrows,
+    the rows of ``gamma_rows`` flattened by source, then by target."""
     return sw.GammaWindow(vertices=tuple(ar.delta_vertices(cd, p_lo, p_hi)),
-                          arrows=tuple(sw.gamma_arrows(cd, p_lo, p_hi)))
+                          arrows=tuple((u, v, m) for u, row in sw.gamma_rows(cd, p_lo, p_hi)
+                                       for v, m in row))
 
 
 def test_gamma_window_a2():
@@ -75,7 +77,7 @@ def test_gamma_arrows_match_all_pairs(ty, p_lo, width):
     expected = _all_pairs_arrows(cd, verts)
     rows = list(sw.gamma_rows(cd, p_lo, p_hi))
     assert [u for u, _ in rows] == list(verts)  # one row per source, empty or not
-    assert tuple(sw.gamma_arrows(cd, p_lo, p_hi)) == expected
+    assert tuple((u, v, m) for u, row in rows for v, m in row) == expected
 
 
 def test_gamma_rows_share_each_target_entry():

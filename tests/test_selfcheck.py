@@ -7,7 +7,9 @@ the verdict.  Each test first runs the check unpatched, which also fills
 the caches the patched function feeds, so the mutation cannot outlive the
 test.  The pair enumerations behind ext-oracle build each quiver once per
 least height function; they must still place every pair as
-``common_heart`` does.
+``common_heart`` does.  The family checks read their vertices from one
+``schur_weyl._transport`` call per configuration, and a wrong vertex there
+still fails ``dorey``.
 """
 
 import random
@@ -20,6 +22,7 @@ from rmx import denominators as dn
 from rmx import quantum_cartan as qc
 from rmx import rep_oracle as ro
 from rmx import root_system as rs
+from rmx import schur_weyl as sw
 from rmx import selfcheck as sc
 from rmx.ar_quiver import IndecObject
 
@@ -228,3 +231,82 @@ def test_denominators_builds_each_d_ij_once_and_still_sees_asymmetry(monkeypatch
     passed, detail = sc.check_denominators(5)
     assert not passed
     assert detail == "A3 d12 asymmetric; A3 d21 asymmetric"
+
+
+_FULL_DOREY = (("A", 3, 4, 2), ("D", 4, 4, 4))
+
+
+def counted_transports(monkeypatch):
+    """Patch ``sw._transport`` and ``sw.x_of_root`` to log their calls."""
+    transports, singles = [], []
+    transport, x_of_root = sw._transport, sw.x_of_root
+
+    def logged_transport(Q, xi, N, roots):
+        transports.append((Q.cd.label(), N))
+        return transport(Q, xi, N, roots)
+
+    def logged_x_of_root(*args):
+        singles.append(args)
+        return x_of_root(*args)
+
+    monkeypatch.setattr(sw, "_transport", logged_transport)
+    monkeypatch.setattr(sw, "x_of_root", logged_x_of_root)
+    return transports, singles
+
+
+def test_dorey_reads_each_configs_vertices_from_one_transport(monkeypatch):
+    transports, singles = counted_transports(monkeypatch)
+    assert sc.check_dorey(_FULL_DOREY) == (True, "goldens plus 84 splittings")
+    assert (transports, singles) == ([("A3", 4), ("D4", 4)], [])
+
+
+def test_kostant_census_enumerates_each_beta_once(monkeypatch):
+    # 4 + 10 + 20 + 35 + 56 betas of weight 1..5 on four positions; the
+    # single-root monomials make one transport for their 20 vertices and
+    # one inside each m_nu
+    transports, singles = counted_transports(monkeypatch)
+    calls = []
+    orig = sw.kostant_partitions
+
+    def counted(beta, max_len=None):
+        calls.append(beta)
+        return orig(beta, max_len)
+
+    monkeypatch.setattr(sw, "kostant_partitions", counted)
+    assert sc.check_kostant_census(5) == (True, "125 weight<= 5 betas checked")
+    assert len(calls) == 125
+    assert (len(transports), singles) == (1 + 20, [])
+
+
+def test_ext_oracle_takes_one_euler_form_per_module_pair(monkeypatch):
+    assert sc.check_ext_oracle(("A3", "D4"))[0]  # builds the modules
+    module_pairs = {(Q, a, b) for label in ("A3", "D4")
+                    for cd in [rs.build_cartan(label[0], int(label[1:]))]
+                    for _, _, (Q, _, a, b) in sc._ext_oracle_pairs(cd, 2 * cd.h)}
+    calls = []
+    orig = ar.euler_form
+
+    def counted(Q, a, b):
+        calls.append((Q, a, b))
+        return orig(Q, a, b)
+
+    monkeypatch.setattr(ar, "euler_form", counted)
+    assert sc.check_ext_oracle(("A3", "D4"))[0]
+    assert len(calls) == len(module_pairs) and set(calls) == module_pairs
+
+
+def test_a_wrong_family_vertex_fails_dorey(monkeypatch):
+    # every vertex of an interval root of length 2 moves up by 2, which keeps
+    # its parity; the rank-2 goldens read no family vertex
+    assert sc.check_dorey(_FULL_DOREY)[0]
+    orig = sw._transport
+
+    def shifted(Q, xi, N, roots):
+        roots = list(roots)
+        return [(x[0], x[1] + 2) if l == 2 and x is not sw.ZERO else x
+                for (_, l), x in zip(roots, orig(Q, xi, N, roots))]
+
+    monkeypatch.setattr(sw, "_transport", shifted)
+    passed, detail = sc.check_dorey(_FULL_DOREY)
+    assert not passed
+    assert detail.startswith("A3 N=4: ")
