@@ -6,15 +6,17 @@ as the Ext window, the Hom window ``hom_dim``, irreducibility, the arrows of
 the Ext quiver in ``schur_weyl``) reads these zeros off ``zero_orders``, built
 once per type.  The table holds the answers, the zero orders and each d_ij as
 a finished ``Denominator``, so a query validates its vertices once and reads
-it.  Dorey middle terms are cross-checked through representations.
-``dorey_middle_term`` imports the representation oracle when it is called, so
-that ``import rmx`` and the window queries never load the oracle or its
-linear-algebra kernel.
+it.  Dorey middle terms are cross-checked through representations, in a
+heart of one reference quiver per type whenever one holds the pair, so that
+a type's queries share their modules.  ``dorey_middle_term`` imports the
+representation oracle when it is called, so that ``import rmx`` and the
+window queries never load the oracle or its linear-algebra kernel.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import le, sub
 from typing import NamedTuple
 
 from rmx import ar_quiver as ar
@@ -204,12 +206,15 @@ def monomial_leq(cd: CartanData, m: Monomial, m2: Monomial) -> bool:
 def common_heart(cd: CartanData, x: DeltaVertex, y: DeltaVertex):
     """(Q, lo, root_x, root_y): x and y as modules at the least height
     function lo whose heart holds both, or None if no height function does.
+
+    The least heart spreads a type's pairs over every orientation, which is
+    what the ext-oracle check of ``selfcheck`` exercises; Dorey queries place
+    a pair in the reference quiver instead (``dorey_heart``).
     """
     lo = least_height(cd, x, y)
     if lo is None:
         return None
-    Q = heart_quiver(cd, lo)
-    return Q, lo, ar._happel_object(Q, lo, x).root, ar._happel_object(Q, lo, y).root
+    return _placement(heart_quiver(cd, lo), lo, x, y)
 
 
 def least_height(cd: CartanData, x: DeltaVertex,
@@ -217,20 +222,26 @@ def least_height(cd: CartanData, x: DeltaVertex,
     """lo, the least height function whose heart holds x and y, or None.
 
     xi fixes its quiver, and its modules are the (k, q) with
-    xi_{k*} - h + 2 <= q <= xi_k, so xi places x = (i, p) and y = (j, r)
-    exactly when lo <= xi <= hi, with the height functions lo_v = max(p -
-    d(i, v), r - d(j, v)) and hi_v = min(p + h - 2 + d(i*, v), r + h - 2 +
-    d(j*, v)).  Dorey's rule reads the middle term off any such heart.
+    xi_{k*} - h + 2 <= q <= xi_k, so xi places x and y exactly when
+    lo <= xi <= hi, with lo and hi the ``_height_bounds``.  Dorey's rule
+    reads the middle term off any such heart.
     """
     ar.check_delta_vertex(cd, x, y)
+    lo, hi = _height_bounds(cd, x, y)
+    return lo if all(map(le, lo, hi)) else None
+
+
+def _height_bounds(cd: CartanData, x: DeltaVertex, y: DeltaVertex):
+    """(lo, hi), unchecked: lo_v = max(p - d(i, v), r - d(j, v)) and hi_v =
+    min(p + h - 2 + d(i*, v), r + h - 2 + d(j*, v)) for x = (i, p) and
+    y = (j, r), the least and the greatest height function whose heart
+    holds both."""
     (i, p), (j, r) = x, y
     d, top = cd.distance, cd.h - 2
     lo = tuple(max(p - a, r - b) for a, b in zip(d[i - 1], d[j - 1]))
-    star_d = zip(d[cd.star_of(i) - 1], d[cd.star_of(j) - 1])
-    if any(lo_v > min(p + top + a, r + top + b)  # lo_v > hi_v
-           for lo_v, (a, b) in zip(lo, star_d)):
-        return None
-    return lo
+    hi = tuple(min(p + top + a, r + top + b)
+               for a, b in zip(d[cd.star_of(i) - 1], d[cd.star_of(j) - 1]))
+    return lo, hi
 
 
 def heart_quiver(cd: CartanData, lo: tuple[int, ...]) -> DynkinQuiver:
@@ -242,18 +253,59 @@ def heart_quiver(cd: CartanData, lo: tuple[int, ...]) -> DynkinQuiver:
     return Q
 
 
+def _placement(Q: DynkinQuiver, xi: tuple[int, ...], x: DeltaVertex, y: DeltaVertex):
+    """(Q, xi, root_x, root_y) for a height function xi whose heart holds x and y."""
+    return Q, xi, ar._happel_object(Q, xi, x).root, ar._happel_object(Q, xi, y).root
+
+
+def reference_height(cd: CartanData) -> tuple[int, ...]:
+    """The height function parity_base - d(1, v) of the reference quiver,
+    whose arrows all point away from vertex 1; with the type diagrams'
+    labels that is ``default_height(monotone_quiver(cd))``."""
+    return tuple(cd.parity_base - a for a in cd.distance[0])
+
+
+def dorey_heart(cd: CartanData, x: DeltaVertex, y: DeltaVertex):
+    """(Q, xi, root_x, root_y), unchecked: the heart a Dorey query reads.
+
+    Q is the reference quiver whenever one of its height functions
+    ref + k holds x and y, that is lo - ref <= k <= hi - ref for the
+    ``_height_bounds``; of those k the one with the least dim X + dim Y is
+    taken, the smallest on a tie.  Every query of a type then builds its
+    modules over one quiver, so they are shared through the tree-module
+    cache, and the smallest modules keep the eliminations small.  Otherwise
+    the pair is placed at its least height function, as ``common_heart``
+    does, or None is returned if no heart holds both.
+    """
+    lo, hi = _height_bounds(cd, x, y)
+    ref = reference_height(cd)
+    k_lo, k_hi = max(map(sub, lo, ref)), min(map(sub, hi, ref))
+    if k_lo <= k_hi:
+        Q = heart_quiver(cd, ref)
+        placements = [_placement(Q, tuple(v + k for v in ref), x, y)
+                      for k in range(k_lo, k_hi + 1, 2)]
+        # min keeps the first of the least, so the smallest k on a tie
+        return min(placements, key=lambda pl: sum(pl[2]) + sum(pl[3]))
+    if all(map(le, lo, hi)):
+        return _placement(heart_quiver(cd, lo), lo, x, y)
+    return None
+
+
 def dorey_middle_term(cd: CartanData, Q: DynkinQuiver, xi, x: DeltaVertex,
                       y: DeltaVertex) -> Monomial:
     """Middle-term monomial of the non-split triangle at a simple pole.
 
-    Builds the extension of the two modules in their ``common_heart``
+    Builds the extension of the two modules in their ``dorey_heart``
     explicitly and reads the Krull-Schmidt summands back through the (i, p)
-    bijection.  A summand lies strictly between x and y and takes a nonzero
-    map from X and to Y, so only those roots are decomposed for.  At column
-    distance exactly h the quotient object is the shift of the sub (forced
-    by ct_ij(h-1) = delta_{j,i*}) and the middle term vanishes.  (Q, xi) is
-    validated (Q a quiver of cd, xi fitting Q) but does not change the
-    answer.  Every other simple pole is placed, as r - p <= h - 2 + d(i*, j):
+    bijection.  The triangle lives in the derived category, so every heart
+    holding both modules gives the same summands; the reference quiver's,
+    at the shift with the smallest modules, lets a type's queries share
+    their tree modules and keeps the eliminations small.  A summand lies
+    strictly between x and y and takes a nonzero map from X and to Y, so
+    only those roots are decomposed for.  At column distance exactly h the
+    quotient object is the shift of the sub (forced by ct_ij(h-1) =
+    delta_{j,i*}) and the middle term vanishes.  (Q, xi) is validated (Q a
+    quiver of cd, xi fitting Q) but does not change the answer.  Every other simple pole is placed, as r - p <= h - 2 + d(i*, j):
     at r - p = h - 1 the pole is ct_ij(h-2) = ct_(j,i*)(2) = [j ~ i*].
     """
     if Q.cd is not cd:
@@ -271,8 +323,8 @@ def dorey_middle_term(cd: CartanData, Q: DynkinQuiver, xi, x: DeltaVertex,
         return Monomial.unit()
     from rmx import rep_oracle as ro
 
-    Qp, lo, root_x, root_y = common_heart(cd, x, y)
+    Qp, xi_p, root_x, root_y = dorey_heart(cd, x, y)
     middle = ro.nonsplit_extension(ro.indec_rep(Qp, root_x), ro.indec_rep(Qp, root_y))
     parts = ro.decompose(middle, between=(root_x, root_y))
-    return Monomial.from_dict({ar._happel_inverse(Qp, lo, IndecObject(delta, 0)): mult
+    return Monomial.from_dict({ar._happel_inverse(Qp, xi_p, IndecObject(delta, 0)): mult
                                for delta, mult in parts.items()})

@@ -402,17 +402,32 @@ def _placements_by_scan(cd, x, y):
 ])
 def test_placements_match_strip_scan(family, rank):
     # common_heart is the placement at the least height function the
-    # whole-strip scan finds, and None exactly when the scan finds none
+    # whole-strip scan finds, and None exactly when the scan finds none;
+    # dorey_heart is the scan's placement on the reference quiver with the
+    # least dim X + dim Y, the lowest on a tie, or common_heart's placement
+    # when no height function of the reference quiver holds both
     cd = rs.build_cartan(family, rank)
+    ref = ar.monotone_quiver(cd)
     verts = ar.delta_vertices(cd, -cd.h, cd.h)
     for x, y in product(verts, repeat=2):
         scan = list(_placements_by_scan(cd, x, y))
         got = dn.common_heart(cd, x, y)
         if not scan:
-            assert got is None, (x, y)
+            assert got is None and dn.dorey_heart(cd, x, y) is None, (x, y)
             continue
         lo = tuple(map(min, zip(*(xi for _, xi, _, _ in scan))))
         assert got in scan and got[1] == lo, (x, y)
+        on_ref = [pl for pl in scan if pl[0] is ref]
+        want = min(on_ref, key=lambda pl: (sum(pl[2]) + sum(pl[3]), pl[1]), default=got)
+        assert dn.dorey_heart(cd, x, y) == want, (x, y)
+
+
+def test_the_reference_quiver_is_the_monotone_quiver():
+    # the type diagrams label every edge away from vertex 1
+    for family, rank in rs.all_ade_types(64):
+        for parity_base in (0, 1):
+            cd = rs.build_cartan(family, rank, parity_base)
+            assert dn.reference_height(cd) == ar.default_height(ar.monotone_quiver(cd))
 
 
 @pytest.fixture
@@ -527,6 +542,36 @@ def test_dorey_independent_of_placement():
     assert (pairs, placements) == (124, 2158)
 
 
+def test_dorey_heart_gives_the_least_hearts_middle_term():
+    # dorey_middle_term reads the reference quiver's heart, which for most
+    # pairs is not common_heart's least heart; both give the same E
+    pairs = moved = 0
+    for family, rank in rs.all_ade_types(6):
+        cd = rs.build_cartan(family, rank)
+        Q = ar.monotone_quiver(cd)
+        xi = ar.default_height(Q)
+        for x, y in _simple_pole_pairs(cd):
+            least = dn.common_heart(cd, x, y)
+            assert dn.dorey_middle_term(cd, Q, xi, x, y) == _middle_term_at(*least), (x, y)
+            pairs += 1
+            moved += dn.dorey_heart(cd, x, y)[:2] != least[:2]
+    assert (pairs, moved) == (362, 256)
+
+
+def test_dorey_queries_of_a_type_share_their_modules():
+    # the E6 poles build 93 tree modules over the reference quiver, where
+    # their least hearts, spread over six quivers, built 185
+    cd = rs.build_cartan("E", 6)
+    Q = ar.monotone_quiver(cd)
+    xi = ar.default_height(Q)
+    poles = _simple_pole_pairs(cd)
+    ro._indec_rep.cache_clear()
+    for x, y in poles:
+        dn.dorey_middle_term(cd, Q, xi, x, y)
+    assert len(poles) == 104
+    assert ro._indec_rep.cache_info().misses <= 100
+
+
 def test_dorey_monomial_dominates_and_conserves_dimension():
     for label in ("A3", "D4"):
         cd = rs.build_cartan(label[0], int(label[1]))
@@ -620,8 +665,8 @@ def test_dorey_answers_do_not_depend_on_the_split_order(monkeypatch):
 
 
 def test_dorey_checks_a_height_function_at_most_twice_per_query(monkeypatch):
-    # once for the caller's (Q, xi), once for the least height function lo;
-    # the Happel maps behind lo then run unchecked
+    # once for the caller's (Q, xi), once for the heart's height function;
+    # the Happel maps behind it then run unchecked
     calls = 0
     check_height = ar.check_height
 
@@ -641,6 +686,27 @@ def test_dorey_checks_a_height_function_at_most_twice_per_query(monkeypatch):
                     calls = 0
                     dn.dorey_middle_term(cd, Q, xi, x, y)
                     assert calls <= 2, (cd.label(), x, y, calls)
+
+
+def test_dorey_validates_its_vertices_once_per_query(monkeypatch):
+    # pole_order checks x and y; the placement reads unchecked height bounds
+    calls = 0
+    check_delta_vertex = ar.check_delta_vertex
+
+    def counted(cd, *xs):
+        nonlocal calls
+        calls += 1
+        return check_delta_vertex(cd, *xs)
+
+    monkeypatch.setattr(ar, "check_delta_vertex", counted)
+    for family, rank in (("A", 4), ("D", 5), ("E", 6)):
+        cd = rs.build_cartan(family, rank)
+        Q = ar.monotone_quiver(cd)
+        xi = ar.default_height(Q)
+        for x, y in _simple_pole_pairs(cd):
+            calls = 0
+            dn.dorey_middle_term(cd, Q, xi, x, y)
+            assert calls == 1, (cd.label(), x, y, calls)
 
 
 def test_a_simple_pole_at_distance_h_off_the_star_raises(monkeypatch):
