@@ -46,7 +46,7 @@ class DynkinQuiver:
         undirected = {(min(u, v), max(u, v)) for u, v in arrows}
         expected = {(min(u, v), max(u, v)) for u, v in cd.edges}
         if undirected != expected or len(arrows) != len(cd.edges):
-            raise ValueError("arrows must orient each diagram edge exactly once")
+            raise rs.InputError("arrows must orient each diagram edge exactly once")
         object.__setattr__(self, "cd", cd)
         object.__setattr__(self, "arrows", arrows)
 
@@ -108,13 +108,13 @@ def random_orientation(cd: CartanData, seed: int) -> DynkinQuiver:
 def check_height(Q: DynkinQuiver, xi: tuple[int, ...]) -> None:
     cd = Q.cd
     if len(xi) != cd.rank:
-        raise ValueError("height function has wrong length")
+        raise rs.InputError("height function has wrong length")
     for i in cd.vertices:
         if (xi[i - 1] - cd.eps_of(i)) % 2 != 0:
-            raise ValueError(f"xi_{i} = {xi[i-1]} has wrong parity")
+            raise rs.InputError(f"xi_{i} = {xi[i-1]} has wrong parity")
     for u, v in Q.arrows:
         if xi[u - 1] != xi[v - 1] + 1:
-            raise ValueError(f"xi must drop by 1 along {u}->{v}")
+            raise rs.InputError(f"xi must drop by 1 along {u}->{v}")
 
 
 @lru_cache(maxsize=None)
@@ -124,7 +124,7 @@ def default_height(Q: DynkinQuiver, xi1: int | None = None) -> tuple[int, ...]:
     if xi1 is None:
         xi1 = cd.eps_of(1)
     if (xi1 - cd.eps_of(1)) % 2 != 0:
-        raise ValueError(f"xi1 = {xi1} has wrong parity for vertex 1")
+        raise rs.InputError(f"xi1 = {xi1} has wrong parity for vertex 1")
     out = {1: xi1}
     queue = [1]
     while queue:
@@ -214,7 +214,7 @@ def check_vertex(cd: CartanData, *indices: int) -> None:
     rank = cd.rank
     for i in indices:
         if not 1 <= i <= rank:
-            raise ValueError(f"vertex index {i} out of range 1..{rank}")
+            raise rs.InputError(f"vertex index {i} out of range 1..{rank}")
 
 
 def check_delta_vertex(cd: CartanData, *xs: DeltaVertex) -> None:
@@ -222,9 +222,9 @@ def check_delta_vertex(cd: CartanData, *xs: DeltaVertex) -> None:
     rank, eps = cd.rank, cd.eps
     for i, p in xs:
         if not 1 <= i <= rank:
-            raise ValueError(f"vertex index {i} out of range 1..{rank}")
+            raise rs.InputError(f"vertex index {i} out of range 1..{rank}")
         if (p - eps[i - 1]) % 2:
-            raise ValueError(f"({i},{p}) violates the parity constraint")
+            raise rs.InputError(f"({i},{p}) violates the parity constraint")
 
 
 @lru_cache(maxsize=None)
@@ -287,7 +287,7 @@ def happel_inverse(Q: DynkinQuiver, xi: tuple[int, ...],
     """The unique (i, p) with happel_object(Q, xi, (i, p)) == obj."""
     check_height(Q, xi)
     if not rs.is_positive_root(Q.cd, obj.root):
-        raise ValueError(f"{obj.root} is not a positive root")
+        raise rs.InputError(f"{obj.root} is not a positive root")
     return _happel_inverse(Q, xi, obj)
 
 

@@ -2,6 +2,12 @@
 
 Exit codes: 0 success, 1 failed selfcheck, 2 bad arguments, 3 unmet Dorey
 precondition.  All output is deterministic byte-for-byte for fixed arguments.
+``main`` is the one place that maps an exception to an exit code: 2 for
+``root_system.InputError``, which the library's argument checks and the
+CLI's own bounds and text parsing raise, and 3 for
+``denominators.NotSimplePoleError``.  A command hands each argument to the
+library call that checks it, so it is checked once; any other exception is
+a fault and propagates.
 
 Inputs are bounded, so that no request runs without limit; a larger one
 exits 2 with a message:
@@ -45,25 +51,12 @@ MAX_P_WIDTH = 64
 MAX_J_WIDTH = 256
 
 
-class CliError(Exception):
-    def __init__(self, message: str, code: int = 2):
-        super().__init__(message)
-        self.code = code
-
-
-def _build(family: str, rank: int) -> rs.CartanData:
-    try:
-        return rs.build_cartan(family, rank)
-    except rs.InvalidTypeError as exc:
-        raise CliError(str(exc)) from exc
-
-
 def _parse_vertex(text: str) -> tuple[int, int]:
     try:
         i, p = text.split(",")
         return int(i), int(p)
     except ValueError as exc:
-        raise CliError(f"expected 'i,p', got {text!r}") from exc
+        raise rs.InputError(f"expected 'i,p', got {text!r}") from exc
 
 
 def _parse_quiver(cd: rs.CartanData, text: str | None) -> ar.DynkinQuiver:
@@ -75,30 +68,12 @@ def _parse_quiver(cd: rs.CartanData, text: str | None) -> ar.DynkinQuiver:
             u, v = part.split(">")
             arrows.append((int(u), int(v)))
         except ValueError as exc:
-            raise CliError(f"bad arrow {part!r}, expected 'u>v'") from exc
-    try:
-        return ar.orient(cd, arrows)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
-
-
-def _height(Q: ar.DynkinQuiver, xi1: int | None) -> tuple[int, ...]:
-    try:
-        return ar.default_height(Q, xi1)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+            raise rs.InputError(f"bad arrow {part!r}, expected 'u>v'") from exc
+    return ar.orient(cd, arrows)
 
 
 def _emit_json(payload) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
-
-
-def _emit_table(header: list[str], rows, fmt: str):
-    """The table in chunks, one line (for json, one object) per row, rows
-    read as they come.  The format is checked before the first chunk."""
-    if fmt not in ("csv", "markdown-table", "json"):
-        raise CliError(f"format {fmt!r} not valid here")
-    return _table_chunks(header, rows, fmt)
 
 
 class _Texts(dict):
@@ -115,6 +90,8 @@ class _Texts(dict):
 
 
 def _table_chunks(header, rows, fmt):
+    """The table in chunks, one line (for json, one object) per row, rows
+    read as they come."""
     cell = _Texts().__getitem__  # each distinct cell value formatted once
     if fmt == "csv":
         yield ",".join(header) + "\n"
@@ -146,24 +123,20 @@ def _table_chunks(header, rows, fmt):
 
 
 def cmd_ctilde(args):
-    cd = _build(args.type, args.rank)
+    cd = rs.build_cartan(args.type, args.rank)
     order = args.order if args.order is not None else 2 * cd.h
     if not 1 <= order <= MAX_ORDER:
-        raise CliError(f"--order must lie in 1..{MAX_ORDER}, got {order}")
+        raise rs.InputError(f"--order must lie in 1..{MAX_ORDER}, got {order}")
     values = qc.ctilde_table(cd, order).values
     header = ["i", "j"] + [f"l{l}" for l in range(1, order + 1)]
     # the series ct_ij(1..order) of row i, one per j
     rows = ((i + 1, j, *series) for i in range(cd.rank)
             for j, series in enumerate(zip(*(layer[i] for layer in values)), 1))
-    return _emit_table(header, rows, args.format)
+    return _table_chunks(header, rows, args.format)
 
 
 def cmd_denominator(args):
-    cd = _build(args.type, args.rank)
-    try:
-        ar.check_vertex(cd, args.i, args.j)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    cd = rs.build_cartan(args.type, args.rank)
     d = (
         dn.denominator_kashiwara(cd, args.i, args.j)
         if args.convention == "minus_q"
@@ -171,18 +144,13 @@ def cmd_denominator(args):
     )
     header = ["exponent", "multiplicity", "convention"]
     rows = [[e, m, d.convention] for e, m in d.factors]
-    return _emit_table(header, rows, args.format)
+    return _table_chunks(header, rows, args.format)
 
 
 def _query_vertices(args):
-    cd = _build(args.type, args.rank)
-    x = _parse_vertex(args.x)
-    y = _parse_vertex(args.y)
-    try:
-        ar.check_delta_vertex(cd, x, y)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
-    return cd, x, y
+    """The type and the two vertices, parsed; the query validates them."""
+    cd = rs.build_cartan(args.type, args.rank)
+    return cd, _parse_vertex(args.x), _parse_vertex(args.y)
 
 
 def cmd_pole_order(args) -> str:
@@ -204,11 +172,7 @@ def cmd_irreducible(args) -> str:
 def cmd_dorey(args) -> str:
     cd, x, y = _query_vertices(args)
     Q = _parse_quiver(cd, args.quiver)
-    xi = _height(Q, args.xi1)
-    try:
-        mono = dn.dorey_middle_term(cd, Q, xi, x, y)
-    except dn.NotSimplePoleError as exc:
-        raise CliError(str(exc), code=3) from exc
+    mono = dn.dorey_middle_term(cd, Q, ar.default_height(Q, args.xi1), x, y)
     if args.format == "json":
         return _emit_json({"middle_term": dict(
             (f"{i},{p}", e) for (i, p), e in mono.exps)})
@@ -275,25 +239,25 @@ def _emit_graph(fmt: str, name: str, vertices, rows, vertex_attrs=None):
 
 def _check_p_window(args) -> None:
     if args.p_lo is None or args.p_hi is None:
-        raise CliError("--p-lo and --p-hi are required")
+        raise rs.InputError("--p-lo and --p-hi are required")
     if args.p_hi - args.p_lo > MAX_P_WIDTH:
-        raise CliError(f"--p-hi - --p-lo must be at most {MAX_P_WIDTH}, "
-                       f"got {args.p_hi - args.p_lo}")
+        raise rs.InputError(f"--p-hi - --p-lo must be at most {MAX_P_WIDTH}, "
+                            f"got {args.p_hi - args.p_lo}")
 
 
 def cmd_export(args):
-    cd = _build(args.type, args.rank)
+    cd = rs.build_cartan(args.type, args.rank)
     if args.what == "ar-quiver":
         _check_p_window(args)
         Q = _parse_quiver(cd, args.quiver)
-        xi = _height(Q, args.xi1)
+        xi = ar.default_height(Q, args.xi1)
         vertices = ar.delta_vertices(cd, args.p_lo, args.p_hi)
         vset = set(vertices)
         # the mesh arrows (i, p) -> (j, p + 1), by source, then by target
         targets = [sorted(cd.neighbors(i)) for i in cd.vertices]
         rows = (((i, p), [((j, p + 1), 1) for j in targets[i - 1] if (j, p + 1) in vset])
                 for i, p in vertices)
-        # _height checked xi, and delta_vertices are valid by construction
+        # default_height checked xi, and delta_vertices are valid by construction
         cell, attrs = _Texts().__getitem__, {}
         for i, p in vertices:
             root, shift = ar._happel_object(Q, xi, (i, p))
@@ -307,24 +271,18 @@ def cmd_export(args):
         return _emit_graph(args.format, "gamma",
                            ar.delta_vertices(cd, args.p_lo, args.p_hi),
                            sw.gamma_rows(cd, args.p_lo, args.p_hi))
-    if args.what == "gamma-j":
-        if args.N is None or args.j_lo is None or args.j_hi is None:
-            raise CliError("--N, --j-lo and --j-hi are required")
-        if args.j_lo > args.j_hi:
-            raise CliError("--j-lo must be <= --j-hi")
-        if args.j_hi - args.j_lo > MAX_J_WIDTH:
-            raise CliError(f"--j-hi - --j-lo must be at most {MAX_J_WIDTH}, "
-                           f"got {args.j_hi - args.j_lo}")
-        Q = _parse_quiver(cd, args.quiver)
-        xi = _height(Q, args.xi1 if args.xi1 is not None else -2)
-        try:
-            fam = sw.type_a_family(Q, xi, args.N, args.j_lo, args.j_hi)
-        except ValueError as exc:
-            raise CliError(str(exc)) from exc
-        win = sw.gamma_J(cd, fam)
-        return _emit_graph(args.format, "gamma_J", win.vertices,
-                           _arrow_rows(win.arrows))
-    raise CliError(f"unknown export {args.what!r}")
+    # gamma-j, the last of the parser's choices
+    if args.N is None or args.j_lo is None or args.j_hi is None:
+        raise rs.InputError("--N, --j-lo and --j-hi are required")
+    if args.j_lo > args.j_hi:
+        raise rs.InputError("--j-lo must be <= --j-hi")
+    if args.j_hi - args.j_lo > MAX_J_WIDTH:
+        raise rs.InputError(f"--j-hi - --j-lo must be at most {MAX_J_WIDTH}, "
+                            f"got {args.j_hi - args.j_lo}")
+    Q = _parse_quiver(cd, args.quiver)
+    xi = ar.default_height(Q, args.xi1 if args.xi1 is not None else -2)
+    win = sw.gamma_J(cd, sw.type_a_family(Q, xi, args.N, args.j_lo, args.j_hi))
+    return _emit_graph(args.format, "gamma_J", win.vertices, _arrow_rows(win.arrows))
 
 
 def cmd_selfcheck(args) -> tuple[str, int]:
@@ -430,9 +388,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         result = args.fn(args)
-    except CliError as exc:
+    except (rs.InputError, dn.NotSimplePoleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exc.code
+        return 3 if isinstance(exc, dn.NotSimplePoleError) else 2
     out, code = result if isinstance(result, tuple) else (result, 0)
     # a command returns its output whole or, for tables and graph exports, in
     # chunks; it checks all its arguments before the first chunk

@@ -246,10 +246,14 @@ def _height_bounds(cd: CartanData, x: DeltaVertex, y: DeltaVertex):
 
 def heart_quiver(cd: CartanData, lo: tuple[int, ...]) -> DynkinQuiver:
     """The quiver whose arrows run down the height function lo, checked to
-    fit it."""
+    fit it.  Its callers pass a height function that this module computed,
+    so a misfit is a fault (``RuntimeError``), not a rejected argument."""
     Q = ar.orient(cd, [(u, v) if lo[u - 1] > lo[v - 1] else (v, u)
                        for u, v in cd.edges])
-    ar.check_height(Q, lo)
+    try:
+        ar.check_height(Q, lo)
+    except ValueError as exc:
+        raise RuntimeError(f"{lo} is not a height function of its quiver: {exc}") from exc
     return Q
 
 

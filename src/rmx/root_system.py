@@ -19,6 +19,13 @@ interned object.
 ``reflect_word`` is the one reflection routine: it applies a word of simple
 reflections to a list in place.  ``reflect`` is its one-letter case, and the
 Coxeter steps of ``ar_quiver`` apply a whole Coxeter word per call.
+
+``InputError`` (a ``ValueError``) means "a caller's argument was rejected".
+The argument checks of this module, ``ar_quiver`` and ``schur_weyl`` raise
+it, and the CLI reports it with exit code 2.  Where the library checks
+data it computed itself (the knitting table of ``ar_quiver``,
+``denominators.heart_quiver``) it raises ``RuntimeError``, so that such a
+fault is never reported as a bad argument.
 """
 
 from __future__ import annotations
@@ -35,7 +42,11 @@ FAMILIES = ("A", "D", "E")
 MAX_RANK = 64
 
 
-class InvalidTypeError(ValueError):
+class InputError(ValueError):
+    """A caller's argument was rejected."""
+
+
+class InvalidTypeError(InputError):
     """Raised for a family/rank combination outside type ADE."""
 
 
@@ -230,7 +241,7 @@ def build_cartan(family: str, rank: int, parity_base: int = 0) -> CartanData:
     arguments, with the default spelled out or not, give the same object.
     """
     if parity_base not in (0, 1):
-        raise ValueError("parity_base must be 0 or 1")
+        raise InputError("parity_base must be 0 or 1")
     return _interned(family, rank, int(parity_base))
 
 

@@ -53,12 +53,12 @@ class FamilyMap(_FamilyMapFields):
 
     def __new__(cls, j_lo: int, j_hi: int, image: tuple[DeltaVertex, ...]):
         if j_hi < j_lo - 1:  # j_hi = j_lo - 1 is the empty domain
-            raise ValueError(f"reversed domain [{j_lo}, {j_hi}]: "
-                             f"j_hi must be at least j_lo - 1")
+            raise rs.InputError(f"reversed domain [{j_lo}, {j_hi}]: "
+                                f"j_hi must be at least j_lo - 1")
         if len(image) != j_hi - j_lo + 1:
-            raise ValueError("image length does not match the domain interval")
+            raise rs.InputError("image length does not match the domain interval")
         if len(set(image)) != len(image):
-            raise ValueError("family map must be injective")
+            raise rs.InputError("family map must be injective")
         return super().__new__(cls, j_lo, j_hi, image)
 
     @property
@@ -135,17 +135,17 @@ def verify_a_infinity(cd: CartanData, fam: FamilyMap) -> bool:
 def _check_type_a_subquiver(Q: DynkinQuiver, N: int) -> None:
     cd = Q.cd
     if not 2 <= N <= cd.rank + 1:
-        raise ValueError(f"N = {N} outside 2..rank+1")
+        raise rs.InputError(f"N = {N} outside 2..rank+1")
     sub = set(range(1, N))
     path = {(i, i + 1) for i in range(1, N - 1)}
     induced_edges = {
         (min(u, v), max(u, v)) for u, v in cd.edges if u in sub and v in sub
     }
     if induced_edges != path:
-        raise ValueError("vertices 1..N-1 do not induce a path")
+        raise rs.InputError("vertices 1..N-1 do not induce a path")
     for i in range(1, N - 1):
         if (i, i + 1) not in Q.arrows:
-            raise ValueError("subquiver on 1..N-1 is not monotonely oriented")
+            raise rs.InputError("subquiver on 1..N-1 is not monotonely oriented")
 
 
 def _transport(Q: DynkinQuiver, xi, N: int, roots) -> list:
@@ -165,7 +165,7 @@ def _transport(Q: DynkinQuiver, xi, N: int, roots) -> list:
     out = []
     for j, l in roots:
         if not 1 <= l <= N:
-            raise ValueError(f"interval length {l} outside 1..N")
+            raise rs.InputError(f"interval length {l} outside 1..N")
         if l == N:
             out.append(ZERO)
             continue
@@ -218,7 +218,7 @@ def kostant_partitions(beta: dict[int, int],
     """All ways to write beta as a sum of interval roots of length <= max_len."""
     beta = {j: d for j, d in beta.items() if d}
     if any(d < 0 for d in beta.values()):
-        raise ValueError("beta must be nonnegative")
+        raise rs.InputError("beta must be nonnegative")
 
     def rec(rem: dict[int, int]):
         if not rem:

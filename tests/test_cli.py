@@ -1,7 +1,9 @@
+import argparse
 import contextlib
 import hashlib
 import io
 import json
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -104,6 +106,33 @@ def test_dorey_exit_3_only_for_its_preconditions(monkeypatch):
     monkeypatch.setattr(cli.dn, "dorey_middle_term", broken)
     with pytest.raises(ValueError, match="internal fault"):
         cli.main(["dorey", "A", "2", "--x", "2,-1", "--y", "2,1"])
+
+
+def test_a_height_the_library_computed_is_never_a_bad_argument(monkeypatch):
+    # heart_quiver checks the least height function that denominators
+    # computed itself, so a misfit there is a fault, not exit 2
+    monkeypatch.setattr(cli.dn, "_height_bounds", lambda cd, x, y: ((0, -3), (0, -3)))
+    with pytest.raises(RuntimeError, match="xi must drop by 1 along 1->2"):
+        cli.main(["dorey", "A", "2", "--x", "2,-1", "--y", "2,1"])
+
+
+@pytest.mark.parametrize("argv, check", [
+    (["denominator", "--type", "A", "--rank", "3", "--i", "1", "--j", "2"], "check_vertex"),
+    (["pole-order", "A", "2", "--x", "2,-1", "--y", "2,1"], "check_delta_vertex"),
+    (["irreducible", "A", "2", "--x", "1,0", "--y", "2,1"], "check_delta_vertex"),
+    (["dorey", "A", "2", "--x", "2,-1", "--y", "2,1"], "check_delta_vertex"),
+    (["dorey", "E", "8", "--x", "3,8", "--y", "7,26"], "check_delta_vertex"),
+])
+def test_each_query_validates_its_vertices_once(monkeypatch, capsys, argv, check):
+    calls = Counter()
+    for name in ("check_vertex", "check_delta_vertex"):
+        def counted(*args, _name=name, _check=getattr(ar, name)):
+            calls[_name] += 1
+            return _check(*args)
+
+        monkeypatch.setattr(ar, name, counted)
+    assert cli.main(argv) == 0
+    assert calls == {check: 1}, argv
 
 
 @pytest.mark.parametrize("quiver", ["1>x", "x>1", "1>2>3", ""])
@@ -636,13 +665,22 @@ def test_bad_order_or_format_exits_2_before_any_output(capsys, argv):
     assert (code, capsys.readouterr().out) == (2, "")
 
 
-def test_a_table_format_is_checked_before_the_first_row():
-    def rows():
-        raise AssertionError("a row was read")
-        yield
+def _format_choices(command):
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return next(a.choices for a in sub.choices[command]._actions if a.dest == "format")
 
-    with pytest.raises(cli.CliError, match="format 'text' not valid here"):
-        cli._emit_table(["i"], rows(), "text")
+
+@pytest.mark.parametrize("command", ["ctilde", "denominator"])
+def test_table_format_choices_are_the_formats_table_chunks_writes(command):
+    # argparse rejects every other --format, and _table_chunks writes JSON
+    # for any format it does not name, so a new choice must be added there too
+    choices = _format_choices(command)
+    assert sorted(choices) == ["csv", "json", "markdown-table"]
+    header, rows = ["i", "j"], [[1, -2], [3, "x"]]
+    for fmt in choices:
+        out = "".join(cli._table_chunks(header, iter(rows), fmt))
+        assert out == _reference_emit_table(header, rows, fmt), fmt
 
 
 def test_the_parser_is_built_once():
